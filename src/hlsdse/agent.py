@@ -789,14 +789,17 @@ class ExternalPolicy(Policy):
 
     def start(self, task: TaskContext) -> None:
         self._task = task
-        self._proc = subprocess.Popen(
-            self.command,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-            text=True,
-            bufsize=1,
-        )
+        try:
+            self._proc = subprocess.Popen(
+                self.command,
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL,
+                text=True,
+                bufsize=1,
+            )
+        except OSError as exc:
+            raise InvalidAction(f"cannot start external policy: {exc}") from None
         reader = threading.Thread(target=self._pump, daemon=True)
         reader.start()
         self._send(
@@ -840,6 +843,7 @@ class ExternalPolicy(Policy):
                 f"external policy produced no action within {self.timeout_s}s"
             ) from None
         if line is None:
+            self._lines.put(None)  # so every later call fails at once as well
             raise InvalidAction("external policy closed its output")
         try:
             message = json.loads(line)

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Iterator, Mapping, Union
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Any, Iterator, Mapping, Union
 
-from .errors import CapExceeded, ParseError
+from .errors import CapExceeded, CyclicDesign, ParseError
 
 ENUMERATION_CAP = 10**6
 
@@ -154,8 +155,10 @@ class Design:
     kernels: Mapping[str, Kernel]
     top: str
 
-    def kernel_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self.kernels))
+    @cached_property
+    def order(self) -> tuple[str, ...]:
+        """``topological_order(self)``, computed once per design."""
+        return topological_order(self)
 
     def with_variants(self, options: Mapping[str, tuple[KernelVariant, ...]]) -> "Design":
         """Return a copy with the given variant lists installed per kernel."""
@@ -258,6 +261,35 @@ def direct_callees(kernel: Kernel) -> tuple[str, ...]:
     if kernel.body is None:
         return ()
     return tuple(sorted({c.kernel for c in walk_calls(kernel.body)}))
+
+
+def topological_order(design: Design) -> tuple[str, ...]:
+    """Kernel ids with every callee before its callers.
+
+    Depth-first from each kernel in sorted order, callees sorted, on an
+    explicit stack so that deep call chains cannot overflow the interpreter's.
+    Raises CyclicDesign naming the first kernel found on a call-graph cycle.
+    """
+    finished: dict[str, bool] = {}  # False while the kernel is on the stack
+    order: list[str] = []
+    for root in sorted(design.kernels):
+        if root in finished:
+            continue
+        finished[root] = False
+        stack = [(root, iter(direct_callees(design.kernels[root])))]
+        while stack:
+            kid, callees = stack[-1]
+            callee = next(callees, None)
+            if callee is None:
+                stack.pop()
+                finished[kid] = True
+                order.append(kid)
+            elif callee not in finished:
+                finished[callee] = False
+                stack.append((callee, iter(direct_callees(design.kernels[callee]))))
+            elif not finished[callee]:
+                raise CyclicDesign(callee)
+    return tuple(order)
 
 
 def validate(design: Design, require_variants: bool = True) -> list[Violation]:

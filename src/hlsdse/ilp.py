@@ -34,12 +34,13 @@ from .design import (
     Seq,
     direct_callees,
 )
-from .errors import CyclicDesign, RetriesExhausted
+from .errors import RetriesExhausted
 from .latency import (
     LatencyModelKind,
     eval_area,
     eval_faulty_latency_given,
     par_node_values,
+    top_plus_max_peaks,
 )
 
 DEFAULT_MAX_RETRIES = 10
@@ -162,28 +163,6 @@ def _scale_add(dst: Expr, src: Expr, factor: int) -> None:
         dst[var] = dst.get(var, 0) + factor * coef
 
 
-def _topo_order(design: Design) -> list[str]:
-    """Kernel ids with callees before callers; raises on call-graph cycles."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    state = {kid: WHITE for kid in design.kernels}
-    order: list[str] = []
-
-    def visit(kid: str) -> None:
-        if state[kid] == BLACK:
-            return
-        if state[kid] == GRAY:
-            raise CyclicDesign(kid)
-        state[kid] = GRAY
-        for callee in direct_callees(design.kernels[kid]):
-            visit(callee)
-        state[kid] = BLACK
-        order.append(kid)
-
-    for kid in sorted(design.kernels):
-        visit(kid)
-    return order
-
-
 class _ModelBuilder:
     def __init__(self, design: Design) -> None:
         self.design = design
@@ -247,7 +226,7 @@ class _ModelBuilder:
                 return expr
             raise TypeError(f"not a composition node: {node!r}")
 
-        for kid in _topo_order(design):
+        for kid in design.order:
             kernel = design.kernels[kid]
             expr = self._self_terms(kid)
             if kernel.body is not None:
@@ -258,7 +237,7 @@ class _ModelBuilder:
     def _top_plus_max_expr(self, include_top_in_max: bool) -> Expr:
         design = self.design
         totals: dict[str, Expr] = {}
-        for kid in _topo_order(design):
+        for kid in design.order:
             children = direct_callees(design.kernels[kid])
             own = self._self_terms(kid)
             if not children:
@@ -352,35 +331,11 @@ def build_model(
     )
 
 
-def _tpm_aux_values(
-    design: Design, configuration: Configuration, include_top: bool
-) -> dict[str, int]:
-    lat = lambda kid: design.kernels[kid].variants[configuration[kid]].latency
-    memo: dict[str, int] = {}
-
-    def total(kid: str) -> int:
-        if kid not in memo:
-            children = direct_callees(design.kernels[kid])
-            child_max = max((total(c) for c in children), default=0)
-            memo[kid] = max(lat(kid), child_max) if include_top else lat(kid) + child_max
-        return memo[kid]
-
-    values: dict[str, int] = {}
-    for kid in sorted(design.kernels):
-        children = direct_callees(design.kernels[kid])
-        if children:
-            peak = max(total(c) for c in children)
-            if include_top:
-                peak = max(peak, lat(kid))
-            values[f"{kid}/children"] = peak
-    return values
-
-
 def _solution_aux_values(model: IlpModel, configuration: Configuration) -> dict[str, int]:
-    if model.latency_model in (LatencyModelKind.CORRECT,):
+    if model.latency_model is LatencyModelKind.CORRECT:
         return par_node_values(model.design, configuration)
     if model.latency_model is LatencyModelKind.TOP_PLUS_MAX_CHILDREN:
-        return _tpm_aux_values(model.design, configuration, model.include_top_in_max)
+        return top_plus_max_peaks(model.design, configuration, model.include_top_in_max)
     return {}
 
 
@@ -478,9 +433,7 @@ def solve(model: IlpModel) -> IlpSolution:
             area = eval_area(design, config)
             if constrained and area > target:
                 return
-            latency = eval_faulty_latency_given(
-                model.latency_model, design, self_latency, model.include_top_in_max
-            )
+            latency = latency_bound()  # exact: every kernel is chosen here
             objective = (
                 Fraction(latency) if constrained else alpha * latency + abs(area - target)
             )

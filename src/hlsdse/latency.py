@@ -59,77 +59,83 @@ class EvalResult:
 SelfLatency = Callable[[str], int]
 
 
-def _variant_latency(design: Design, configuration: Configuration) -> SelfLatency:
-    return lambda kid: design.kernels[kid].variants[configuration[kid]].latency
+def _fold(
+    design: Design,
+    self_latency: SelfLatency,
+    par_combine: Callable[[list[int]], int],
+    par_values: dict[str, int] | None = None,
+) -> int:
+    """Every kernel's total, callees first; returns the top kernel's.
+
+    Self-latency plus body: ``Seq`` adds, ``Par`` applies ``par_combine``,
+    ``Loop`` and ``Call`` scale. Node paths are built only when ``par_values``
+    is given; it receives every ``Par`` node's value under its path.
+    """
+    totals: dict[str, int] = {}
+
+    def node_latency(node: CompositionNode, path: str | None) -> int:
+        if isinstance(node, Call):
+            return node.multiplicity * totals[node.kernel]
+        if isinstance(node, (Seq, Par)):
+            if path is None:
+                values = [node_latency(child, None) for child in node.children]
+            else:
+                values = [
+                    node_latency(child, f"{path}/{i}") for i, child in enumerate(node.children)
+                ]
+            if isinstance(node, Seq):
+                return sum(values)
+            value = par_combine(values)
+            if par_values is not None:
+                par_values[path] = value
+            return value
+        if isinstance(node, Loop):
+            return node.trip_count * node_latency(node.child, path and f"{path}/child")
+        raise TypeError(f"not a composition node: {node!r}")
+
+    for kid in design.order:
+        body = design.kernels[kid].body
+        total = self_latency(kid)
+        if body is not None:
+            total += node_latency(body, None if par_values is None else f"{kid}/body")
+        totals[kid] = total
+    return totals[design.top]
+
+
+def _top_plus_max(
+    design: Design,
+    self_latency: SelfLatency,
+    include_top: bool,
+    peaks: dict[str, int] | None = None,
+) -> int:
+    # Keeps only one level-by-level "slowest child" chain over the call graph;
+    # every sibling's contribution except the largest is dropped. ``peaks``
+    # receives each caller's max under "<kid>/children".
+    totals: dict[str, int] = {}
+    for kid in design.order:
+        own = self_latency(kid)
+        children = direct_callees(design.kernels[kid])
+        peak = max((totals[c] for c in children), default=0)
+        if include_top:
+            peak = max(peak, own)
+        totals[kid] = peak if include_top else own + peak
+        if peaks is not None and children:
+            peaks[f"{kid}/children"] = peak
+    return totals[design.top]
+
+
+def _variant_latency(design: Design, index: dict[str, int]) -> SelfLatency:
+    kernels = design.kernels
+    return lambda kid: kernels[kid].variants[index[kid]].latency
+
+
+def _area_given(design: Design, index: dict[str, int]) -> int:
+    return sum(k.variants[index[kid]].area_tenths for kid, k in design.kernels.items())
 
 
 def eval_latency_given(design: Design, self_latency: SelfLatency) -> int:
     """Correct latency with per-kernel self-latencies supplied by a callable."""
-    memo: dict[str, int] = {}
-
-    def kernel_total(kid: str) -> int:
-        if kid not in memo:
-            kernel = design.kernels[kid]
-            total = self_latency(kid)
-            if kernel.body is not None:
-                total += node_latency(kernel.body)
-            memo[kid] = total
-        return memo[kid]
-
-    def node_latency(node: CompositionNode) -> int:
-        if isinstance(node, Call):
-            return node.multiplicity * kernel_total(node.kernel)
-        if isinstance(node, Seq):
-            return sum(node_latency(c) for c in node.children)
-        if isinstance(node, Par):
-            return max(node_latency(c) for c in node.children)
-        if isinstance(node, Loop):
-            return node.trip_count * node_latency(node.child)
-        raise TypeError(f"not a composition node: {node!r}")
-
-    return kernel_total(design.top)
-
-
-def _sequentialized_given(design: Design, self_latency: SelfLatency) -> int:
-    # Same recursion as the correct model except parallel children are summed,
-    # which is how the composition would behave as sequential software.
-    memo: dict[str, int] = {}
-
-    def kernel_total(kid: str) -> int:
-        if kid not in memo:
-            kernel = design.kernels[kid]
-            total = self_latency(kid)
-            if kernel.body is not None:
-                total += node_latency(kernel.body)
-            memo[kid] = total
-        return memo[kid]
-
-    def node_latency(node: CompositionNode) -> int:
-        if isinstance(node, Call):
-            return node.multiplicity * kernel_total(node.kernel)
-        if isinstance(node, (Seq, Par)):
-            return sum(node_latency(c) for c in node.children)
-        if isinstance(node, Loop):
-            return node.trip_count * node_latency(node.child)
-        raise TypeError(f"not a composition node: {node!r}")
-
-    return kernel_total(design.top)
-
-
-def _top_plus_max_given(design: Design, self_latency: SelfLatency, include_top: bool) -> int:
-    # Keeps only one level-by-level "slowest child" chain; every sibling's
-    # contribution except the largest is dropped.
-    memo: dict[str, int] = {}
-
-    def total(kid: str) -> int:
-        if kid not in memo:
-            children = direct_callees(design.kernels[kid])
-            child_max = max((total(c) for c in children), default=0)
-            own = self_latency(kid)
-            memo[kid] = max(own, child_max) if include_top else own + child_max
-        return memo[kid]
-
-    return total(design.top)
+    return _fold(design, self_latency, max)
 
 
 def eval_faulty_latency_given(
@@ -139,21 +145,22 @@ def eval_faulty_latency_given(
     include_top_in_max: bool = False,
 ) -> int:
     if kind is LatencyModelKind.CORRECT:
-        return eval_latency_given(design, self_latency)
+        return _fold(design, self_latency, max)
     if kind is LatencyModelKind.TOP_ONLY:
         return self_latency(design.top)
     if kind is LatencyModelKind.SUM_ALL:
         return sum(self_latency(kid) for kid in sorted(design.kernels))
     if kind is LatencyModelKind.SUM_WITH_MULTIPLIERS:
-        return _sequentialized_given(design, self_latency)
+        # Parallel children summed: the composition run as sequential software.
+        return _fold(design, self_latency, sum)
     if kind is LatencyModelKind.TOP_PLUS_MAX_CHILDREN:
-        return _top_plus_max_given(design, self_latency, include_top_in_max)
+        return _top_plus_max(design, self_latency, include_top_in_max)
     raise UnsupportedModel(f"unknown latency model {kind!r}")
 
 
 def eval_latency(design: Design, configuration: Configuration) -> int:
     """Correct system latency of the design under the given configuration."""
-    return eval_latency_given(design, _variant_latency(design, configuration))
+    return _fold(design, _variant_latency(design, configuration.as_dict()), max)
 
 
 def eval_faulty_latency(
@@ -164,59 +171,39 @@ def eval_faulty_latency(
 ) -> int:
     """Latency as predicted by one of the approximate models."""
     return eval_faulty_latency_given(
-        kind, design, _variant_latency(design, configuration), include_top_in_max
+        kind, design, _variant_latency(design, configuration.as_dict()), include_top_in_max
     )
 
 
 def eval_area(design: Design, configuration: Configuration) -> int:
     """Total area in tenths: one instance per kernel, shared across call sites."""
-    return sum(
-        design.kernels[kid].variants[configuration[kid]].area_tenths
-        for kid in sorted(design.kernels)
-    )
+    return _area_given(design, configuration.as_dict())
 
 
 def evaluate(design: Design, configuration: Configuration) -> EvalResult:
+    index = configuration.as_dict()
     return EvalResult(
-        latency=eval_latency(design, configuration),
-        area_tenths=eval_area(design, configuration),
+        latency=_fold(design, _variant_latency(design, index), max),
+        area_tenths=_area_given(design, index),
     )
 
 
 def par_node_values(design: Design, configuration: Configuration) -> dict[str, int]:
     """Realized value (max over children) of every Par node, keyed by node path."""
-    self_latency = _variant_latency(design, configuration)
     values: dict[str, int] = {}
-    memo: dict[str, int] = {}
-
-    def kernel_total(kid: str) -> int:
-        if kid not in memo:
-            kernel = design.kernels[kid]
-            total = self_latency(kid)
-            if kernel.body is not None:
-                total += node_latency(kernel.body, f"{kid}/body")
-            memo[kid] = total
-        return memo[kid]
-
-    def node_latency(node: CompositionNode, path: str) -> int:
-        if isinstance(node, Call):
-            return node.multiplicity * kernel_total(node.kernel)
-        if isinstance(node, Seq):
-            return sum(node_latency(c, f"{path}/{i}") for i, c in enumerate(node.children))
-        if isinstance(node, Par):
-            value = max(node_latency(c, f"{path}/{i}") for i, c in enumerate(node.children))
-            values[path] = value
-            return value
-        if isinstance(node, Loop):
-            return node.trip_count * node_latency(node.child, f"{path}/child")
-        raise TypeError(f"not a composition node: {node!r}")
-
-    kernel_total(design.top)
-    # Visit any kernels not on the top's evaluation path (shared bodies are
-    # memoized, so this only adds unreached ones; valid designs have none).
-    for kid in sorted(design.kernels):
-        kernel_total(kid)
+    _fold(design, _variant_latency(design, configuration.as_dict()), max, values)
     return values
+
+
+def top_plus_max_peaks(
+    design: Design, configuration: Configuration, include_top: bool
+) -> dict[str, int]:
+    """The top-plus-max model's per-caller maxima, keyed "<kid>/children"."""
+    peaks: dict[str, int] = {}
+    _top_plus_max(
+        design, _variant_latency(design, configuration.as_dict()), include_top, peaks
+    )
+    return peaks
 
 
 @dataclass(frozen=True)

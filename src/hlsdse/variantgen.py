@@ -17,17 +17,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Union
 
 from .design import (
     Configuration,
     CycleDetected,
     Design,
     KernelVariant,
-    direct_callees,
     validate,
 )
-from .errors import CyclicDesign, FunctionalityBroken, ValidationError
+from .errors import FunctionalityBroken, ValidationError
 from .latency import EvalResult, evaluate
 from .synth import DEFAULT_MAX_VARIANTS, generate_variants
 
@@ -46,39 +45,16 @@ class FaultEvent:
 class BottomUpResult:
     """Outcome of variant generation across a whole design.
 
-    ``design`` is the skeleton with variants installed; ``options`` the same
-    variant lists keyed by kernel; ``greedy_config`` picks every kernel's
-    latency-minimal option (ties toward smaller area) and ``baseline`` is its
-    evaluation, the reference point for deriving an area target.
+    ``design`` is the skeleton with variants installed; ``greedy_config``
+    picks every kernel's latency-minimal option (ties toward smaller area) and
+    ``baseline`` is its evaluation, the reference point for deriving an area
+    target.
     """
 
     design: Design
-    options: Mapping[str, tuple[KernelVariant, ...]]
     greedy_config: Configuration
     baseline: EvalResult
     fault_log: tuple[FaultEvent, ...]
-
-
-def _reverse_topological(design: Design) -> list[str]:
-    """Kernel ids leaves-first; callees always precede their callers."""
-    order: list[str] = []
-    state: dict[str, int] = {}
-
-    def visit(kid: str) -> None:
-        mark = state.get(kid, 0)
-        if mark == 2:
-            return
-        if mark == 1:
-            raise CyclicDesign(kid)
-        state[kid] = 1
-        for callee in direct_callees(design.kernels[kid]):
-            visit(callee)
-        state[kid] = 2
-        order.append(kid)
-
-    for kid in sorted(design.kernels):
-        visit(kid)
-    return order
 
 
 def greedy_configuration(design: Design) -> Configuration:
@@ -109,11 +85,9 @@ def optimize_bottom_up(
     if violations:
         raise ValidationError(violations)
 
-    order = _reverse_topological(skeleton)  # raises CyclicDesign on cycles
-
     fault_log: list[FaultEvent] = []
     options: dict[str, tuple[KernelVariant, ...]] = {}
-    for kid in order:
+    for kid in skeleton.order:  # raises CyclicDesign on cycles
         rng = random.Random(f"{seed}:{kid}")
         failed_attempts: list[int] = []
         produced = False
@@ -133,7 +107,6 @@ def optimize_bottom_up(
     greedy = greedy_configuration(design)
     return BottomUpResult(
         design=design,
-        options=options,
         greedy_config=greedy,
         baseline=evaluate(design, greedy),
         fault_log=tuple(fault_log),

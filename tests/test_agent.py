@@ -6,6 +6,7 @@ import json
 import os
 import sys
 import textwrap
+import time
 from fractions import Fraction
 
 import pytest
@@ -643,11 +644,14 @@ QUITTER_CHILD = """
 
 def test_external_early_exit_becomes_policy_error(tmp_path):
     command = write_child(tmp_path, "quitter.py", QUITTER_CHILD)
+    started = time.monotonic()
     outcome, _ = run(
         ExternalPolicy(command), parallel_pair_design(), area_target_tenths=2200
     )
+    assert time.monotonic() - started < 5  # no wait for the reply timeout
     assert isinstance(outcome, Failure)
     assert outcome.reason is FailureReason.POLICY_ERROR
+    assert "closed its output" in outcome.detail
 
 
 RETRYING_CHILD = """

@@ -38,10 +38,11 @@ from hlsdse.design import (
     par,
     seq,
     tenths_to_area,
+    topological_order,
     validate,
     walk_calls,
 )
-from hlsdse.errors import CapExceeded, ParseError
+from hlsdse.errors import CapExceeded, CyclicDesign, ParseError
 
 SOURCE = KernelSource(0, 1, 1, 0, 0)
 
@@ -133,6 +134,29 @@ def test_direct_callees_deduplicates_and_sorts():
     kernel = Kernel("top", SOURCE, variants((10, 1)), body)
     assert direct_callees(kernel) == ("A", "B")
     assert direct_callees(Kernel("leaf", SOURCE, variants((10, 1)))) == ()
+
+
+def test_topological_order_is_depth_first_from_sorted_roots():
+    kernels = {
+        "top": Kernel("top", SOURCE, variants((10, 1)), seq(call("B"), call("A"))),
+        "A": Kernel("A", SOURCE, variants((10, 1)), call("C")),
+        "B": Kernel("B", SOURCE, variants((10, 1)), call("C")),
+        "C": Kernel("C", SOURCE, variants((10, 1))),
+    }
+    design = Design(kernels=kernels, top="top")
+    assert topological_order(design) == ("C", "A", "B", "top")
+    assert design.order is design.order  # computed once
+
+
+def test_topological_order_names_the_kernel_that_closes_a_cycle():
+    kernels = {
+        "top": Kernel("top", SOURCE, variants((10, 1)), call("A")),
+        "A": Kernel("A", SOURCE, variants((10, 1)), call("B")),
+        "B": Kernel("B", SOURCE, variants((10, 1)), call("A")),
+    }
+    with pytest.raises(CyclicDesign) as excinfo:
+        topological_order(Design(kernels=kernels, top="top"))
+    assert excinfo.value.kernel == "A"
 
 
 def test_node_summary_rendering():

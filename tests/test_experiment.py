@@ -7,6 +7,8 @@ import json
 import pytest
 
 from hlsdse.agent import (
+    ExternalPolicy,
+    Failure,
     FailureReason,
     IlpFirstPolicy,
     OraclePolicy,
@@ -110,6 +112,14 @@ def test_broken_variant_generation_becomes_a_failure_record():
         assert not record.met_target
         assert record.actions_by_kind == {kind: 0 for kind in ACTION_KINDS}
         assert record.transcript is None
+
+
+def test_missing_external_command_becomes_a_failure_record(tmp_path):
+    spec = PolicySpec("external", lambda: ExternalPolicy([str(tmp_path / "missing")]))
+    records = run_experiment([builtin("SYN1")], [spec], repetitions=1)
+    assert [type(r.outcome) for r in records] == [Failure]
+    assert records[0].outcome.reason is FailureReason.POLICY_ERROR
+    assert "cannot start external policy" in records[0].outcome.detail
 
 
 def test_repetitions_must_be_positive():

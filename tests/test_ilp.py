@@ -6,8 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_design
+from helpers import random_configuration, random_design
 from hlsdse.bench import gap_fixture
 from hlsdse.design import (
     Configuration,
@@ -16,7 +18,9 @@ from hlsdse.design import (
     KernelSource,
     KernelVariant,
     call,
+    direct_callees,
     enumerate_configurations,
+    loop,
     par,
     seq,
 )
@@ -40,6 +44,8 @@ from hlsdse.latency import (
     eval_area,
     eval_faulty_latency,
     evaluate,
+    par_node_values,
+    top_plus_max_peaks,
 )
 
 SOURCE = KernelSource(0, 1, 1, 0, 0)
@@ -102,6 +108,46 @@ def test_sequential_design_needs_no_aux_variables():
     }
     model = build_model(Design(kernels=kernels, top="top"), ConstrainedArea(1000))
     assert not any(isinstance(v.annotation, AuxParMax) for v in model.variables)
+
+
+def aux_paths(model) -> set[str]:
+    return {
+        v.annotation.node_path for v in model.variables if isinstance(v.annotation, AuxParMax)
+    }
+
+
+def test_par_node_values_use_the_models_aux_paths():
+    # A Par inside a Loop inside a Seq: evaluator and model name it alike.
+    body = seq(call("A"), loop(3, par(call("B"), call("C"))))
+    kernels = {
+        "top": Kernel("top", SOURCE, (KernelVariant(0, 100, 5),), body),
+        "A": Kernel("A", SOURCE, (KernelVariant(0, 100, 4),)),
+        "B": Kernel("B", SOURCE, (KernelVariant(0, 100, 7),)),
+        "C": Kernel("C", SOURCE, (KernelVariant(0, 100, 9),)),
+    }
+    design = Design(kernels=kernels, top="top")
+    config = Configuration.from_mapping({kid: 0 for kid in kernels})
+    assert aux_paths(build_model(design, ConstrainedArea(1000))) == {"top/body/1/child"}
+    assert par_node_values(design, config) == {"top/body/1/child": 9}
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_order_and_aux_values_agree_with_the_model(seed):
+    rng = random.Random(seed)
+    design = random_design(rng, max_kernels=8)
+    config = random_configuration(rng, design)
+    assert sorted(design.order) == sorted(design.kernels)
+    position = {kid: i for i, kid in enumerate(design.order)}
+    for kid, kernel in design.kernels.items():
+        assert all(position[callee] < position[kid] for callee in direct_callees(kernel))
+    correct = build_model(design, ConstrainedArea(0))
+    assert set(par_node_values(design, config)) == aux_paths(correct)
+    for include_top in (False, True):
+        tpm = build_model(
+            design, ConstrainedArea(0), LatencyModelKind.TOP_PLUS_MAX_CHILDREN, include_top
+        )
+        assert set(top_plus_max_peaks(design, config, include_top)) == aux_paths(tpm)
 
 
 def test_lagrangian_model_adds_slack_pair():

@@ -17,6 +17,7 @@ from hlsdse.design import (
 )
 from hlsdse.errors import CyclicDesign, FunctionalityBroken, ValidationError
 from hlsdse.latency import evaluate
+from hlsdse.synth import generate_variants
 from hlsdse.variantgen import (
     FaultEvent,
     derive_area_target,
@@ -30,11 +31,25 @@ SOURCE = KernelSource(0, 1, 1, 0, 0)
 def test_bottom_up_installs_options_everywhere():
     skeleton = builtin("SYN1").skeleton
     result = optimize_bottom_up(skeleton)
-    assert set(result.options) == set(skeleton.kernels)
+    assert set(result.design.kernels) == set(skeleton.kernels)
     assert validate(result.design) == []
-    for kid, options in result.options.items():
-        assert result.design.kernels[kid].variants == options
-        assert len(options) >= 3
+    for kid, kernel in result.design.kernels.items():
+        assert kernel.variants == generate_variants(skeleton.kernels[kid].source)
+        assert len(kernel.variants) >= 3
+
+
+def test_a_500_kernel_call_chain_evaluates():
+    ids = [f"k{i:03d}" for i in range(500)]
+    kernels = {
+        kid: Kernel(kid, SOURCE, body=call(callee) if callee else None)
+        for kid, callee in zip(ids, ids[1:] + [None])
+    }
+    result = optimize_bottom_up(Design(kernels=kernels, top=ids[0]))
+    assert result.design.order == tuple(reversed(ids))
+    assert evaluate(result.design, result.greedy_config) == result.baseline
+    assert result.baseline.latency == sum(
+        min(v.latency for v in k.variants) for k in result.design.kernels.values()
+    )
 
 
 def test_bottom_up_baseline_evaluates_the_greedy_choice():
