@@ -781,6 +781,7 @@ class ExternalPolicy(Policy):
         self.timeout_s = timeout_s
         self._proc: Optional[subprocess.Popen[str]] = None
         self._lines: "queue.Queue[Optional[str]]" = queue.Queue()
+        self._reader: Optional[threading.Thread] = None
         self._relayed = 0
 
     @property
@@ -800,8 +801,8 @@ class ExternalPolicy(Policy):
             )
         except OSError as exc:
             raise InvalidAction(f"cannot start external policy: {exc}") from None
-        reader = threading.Thread(target=self._pump, daemon=True)
-        reader.start()
+        self._reader = threading.Thread(target=self._pump, daemon=True)
+        self._reader.start()
         self._send(
             {
                 "type": "task",
@@ -884,3 +885,9 @@ class ExternalPolicy(Policy):
             except subprocess.TimeoutExpired:
                 self._proc.kill()
                 self._proc.wait()
+        # The reader ends at EOF once the child is gone; closing stdout under
+        # a reader that is still blocked in it is not safe, so then leave it.
+        if self._reader is not None:
+            self._reader.join(timeout=1)
+            if not self._reader.is_alive() and self._proc.stdout is not None:
+                self._proc.stdout.close()

@@ -20,9 +20,12 @@ import itertools
 import json
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Any, Iterator, Mapping, Union
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Union
 
 from .errors import CapExceeded, CyclicDesign, ParseError
+
+if TYPE_CHECKING:
+    from .latency import LatencyPlan
 
 ENUMERATION_CAP = 10**6
 
@@ -159,6 +162,13 @@ class Design:
     def order(self) -> tuple[str, ...]:
         """``topological_order(self)``, computed once per design."""
         return topological_order(self)
+
+    @cached_property
+    def plan(self) -> "LatencyPlan":
+        """``latency.lower_latency_plan(self)``, computed once per design."""
+        from .latency import lower_latency_plan
+
+        return lower_latency_plan(self)
 
     def with_variants(self, options: Mapping[str, tuple[KernelVariant, ...]]) -> "Design":
         """Return a copy with the given variant lists installed per kernel."""
@@ -340,24 +350,27 @@ def validate(design: Design, require_variants: bool = True) -> list[Violation]:
         if kernel.body is not None:
             check_node(kernel.body, f"{kid}/body")
 
-    # Cycle detection over the call graph (DFS with an explicit stack marker).
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[str, int] = {kid: WHITE for kid in design.kernels}
-
-    def visit(kid: str) -> None:
-        color[kid] = GRAY
-        for callee in direct_callees(design.kernels[kid]):
-            if callee not in design.kernels:
+    # Cycle detection over the call graph: depth-first on an explicit stack,
+    # as in topological_order, but recording every cycle instead of raising.
+    finished: dict[str, bool] = {}  # False while the kernel is on the stack
+    for root in sorted(design.kernels):
+        if root in finished:
+            continue
+        finished[root] = False
+        stack = [(root, iter(direct_callees(design.kernels[root])))]
+        while stack:
+            kid, callees = stack[-1]
+            callee = next(callees, None)
+            if callee is None:
+                stack.pop()
+                finished[kid] = True
+            elif callee not in design.kernels:
                 continue
-            if color[callee] == GRAY:
+            elif callee not in finished:
+                finished[callee] = False
+                stack.append((callee, iter(direct_callees(design.kernels[callee]))))
+            elif not finished[callee]:
                 out.add(CycleDetected(callee))
-            elif color[callee] == WHITE:
-                visit(callee)
-        color[kid] = BLACK
-
-    for kid in sorted(design.kernels):
-        if color[kid] == WHITE:
-            visit(kid)
 
     # Reachability from top.
     if design.top in design.kernels:
@@ -396,16 +409,27 @@ def configuration_count(design: Design) -> int:
     return count
 
 
-def enumerate_configurations(
+def configuration_space(
     design: Design, cap: int = ENUMERATION_CAP
-) -> Iterator[Configuration]:
-    """Yield every configuration once, in lexicographic (kernel id, index) order."""
+) -> tuple[list[str], Iterator[tuple[int, ...]]]:
+    """Sorted kernel ids and every variant-index tuple over them, lexicographically.
+
+    Raises CapExceeded at once when there are more than ``cap`` tuples.
+    """
     count = configuration_count(design)
     if count > cap:
         raise CapExceeded(count, cap)
     ids = sorted(design.kernels)
     ranges = [range(len(design.kernels[kid].variants)) for kid in ids]
-    for combo in itertools.product(*ranges):
+    return ids, itertools.product(*ranges)
+
+
+def enumerate_configurations(
+    design: Design, cap: int = ENUMERATION_CAP
+) -> Iterator[Configuration]:
+    """Yield every configuration once, in lexicographic (kernel id, index) order."""
+    ids, combos = configuration_space(design, cap)
+    for combo in combos:
         yield Configuration(tuple(zip(ids, combo)))
 
 

@@ -352,8 +352,9 @@ def _check_declarative(
     assignment: dict[str, Fraction | int] = {
         _aux_var_id(path): value for path, value in aux_values.items()
     }
+    chosen_by_kid = configuration.as_dict()
     for kid in model.design.kernels:
-        chosen = configuration[kid]
+        chosen = chosen_by_kid[kid]
         for v in model.design.kernels[kid].variants:
             assignment[_selection_var_id(kid, v.index)] = 1 if v.index == chosen else 0
     if isinstance(model.objective_spec, Lagrangian):

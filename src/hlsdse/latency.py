@@ -24,6 +24,7 @@ from enum import Enum
 from typing import Callable
 
 from .design import (
+    ENUMERATION_CAP,
     Call,
     CompositionNode,
     Configuration,
@@ -31,8 +32,8 @@ from .design import (
     Loop,
     Par,
     Seq,
+    configuration_space,
     direct_callees,
-    enumerate_configurations,
     tenths_to_area,
 )
 from .errors import UnsupportedModel
@@ -59,47 +60,111 @@ class EvalResult:
 SelfLatency = Callable[[str], int]
 
 
+LinearForm = tuple[tuple[int, int], ...]
+"""``(slot, coef)`` pairs; the form's value is the sum of ``coef * value[slot]``."""
+
+
+@dataclass(frozen=True)
+class LatencyPlan:
+    """A design's composition trees lowered once into slot arithmetic.
+
+    Slots ``0..n-1`` hold the kernels of ``Design.order``; every ``Par`` node
+    has one more slot. A kernel slot starts at the kernel's own latency. The
+    steps run in order, callees and inner ``Par`` nodes first. A step
+    ``(slot, None, (form,))`` adds a kernel's body form to its slot; a step
+    ``(slot, path, forms)`` sets a ``Par`` slot to the combine of its
+    children's forms, ``path`` being the node path ("<kid>/body/0/child").
+    Kernels without a body have no step. ``top`` is the top kernel's slot.
+    """
+
+    size: int
+    steps: tuple[tuple[int, str | None, tuple[LinearForm, ...]], ...]
+    top: int
+
+
+def lower_latency_plan(design: Design) -> LatencyPlan:
+    """Lower every body: ``Seq`` adds forms, ``Loop`` and ``Call`` scale them."""
+    slot_of = {kid: i for i, kid in enumerate(design.order)}
+    steps: list[tuple[int, str | None, tuple[LinearForm, ...]]] = []
+    size = len(slot_of)
+
+    def add(form: dict[int, int], other: dict[int, int], scale: int = 1) -> None:
+        for slot, coef in other.items():
+            form[slot] = form.get(slot, 0) + scale * coef
+
+    def lower(node: CompositionNode, path: str) -> dict[int, int]:
+        nonlocal size
+        if isinstance(node, Call):
+            return {slot_of[node.kernel]: node.multiplicity}
+        if isinstance(node, Loop):
+            form: dict[int, int] = {}
+            add(form, lower(node.child, f"{path}/child"), node.trip_count)
+            return form
+        if isinstance(node, Seq):
+            form = {}
+            for i, child in enumerate(node.children):
+                add(form, lower(child, f"{path}/{i}"))
+            return form
+        if isinstance(node, Par):
+            forms = tuple(
+                tuple(lower(child, f"{path}/{i}").items())
+                for i, child in enumerate(node.children)
+            )
+            slot, size = size, size + 1
+            steps.append((slot, path, forms))
+            return {slot: 1}
+        raise TypeError(f"not a composition node: {node!r}")
+
+    for kid in design.order:
+        body = design.kernels[kid].body
+        if body is not None:
+            steps.append((slot_of[kid], None, (tuple(lower(body, f"{kid}/body").items()),)))
+    return LatencyPlan(size=size, steps=tuple(steps), top=slot_of[design.top])
+
+
+def _run_plan(
+    plan: LatencyPlan,
+    own: list[int],
+    par_combine: Callable[[list[int]], int],
+    par_values: dict[str, int] | None = None,
+) -> int:
+    """The top kernel's total, given every kernel's own latency in slot order.
+
+    ``Par`` slots take ``par_combine`` of their children's forms; when
+    ``par_values`` is given it receives each ``Par`` value under its path.
+    """
+    values = own + [0] * (plan.size - len(own))
+    # Plain loops: the forms are a few terms long, and a comprehension per
+    # form costs more than the arithmetic (this loop is the oracle's hot path).
+    for slot, path, forms in plan.steps:
+        parts = []
+        for form in forms:
+            acc = 0
+            for s, coef in form:
+                acc += values[s] * coef
+            parts.append(acc)
+        if path is None:
+            values[slot] += parts[0]
+            continue
+        value = par_combine(parts)
+        values[slot] = value
+        if par_values is not None:
+            par_values[path] = value
+    return values[plan.top]
+
+
 def _fold(
     design: Design,
     self_latency: SelfLatency,
     par_combine: Callable[[list[int]], int],
     par_values: dict[str, int] | None = None,
 ) -> int:
-    """Every kernel's total, callees first; returns the top kernel's.
+    """Self-latency plus body for every kernel; returns the top kernel's.
 
-    Self-latency plus body: ``Seq`` adds, ``Par`` applies ``par_combine``,
-    ``Loop`` and ``Call`` scale. Node paths are built only when ``par_values``
-    is given; it receives every ``Par`` node's value under its path.
+    ``Seq`` adds, ``Par`` applies ``par_combine``, ``Loop`` and ``Call`` scale.
     """
-    totals: dict[str, int] = {}
-
-    def node_latency(node: CompositionNode, path: str | None) -> int:
-        if isinstance(node, Call):
-            return node.multiplicity * totals[node.kernel]
-        if isinstance(node, (Seq, Par)):
-            if path is None:
-                values = [node_latency(child, None) for child in node.children]
-            else:
-                values = [
-                    node_latency(child, f"{path}/{i}") for i, child in enumerate(node.children)
-                ]
-            if isinstance(node, Seq):
-                return sum(values)
-            value = par_combine(values)
-            if par_values is not None:
-                par_values[path] = value
-            return value
-        if isinstance(node, Loop):
-            return node.trip_count * node_latency(node.child, path and f"{path}/child")
-        raise TypeError(f"not a composition node: {node!r}")
-
-    for kid in design.order:
-        body = design.kernels[kid].body
-        total = self_latency(kid)
-        if body is not None:
-            total += node_latency(body, None if par_values is None else f"{kid}/body")
-        totals[kid] = total
-    return totals[design.top]
+    own = [self_latency(kid) for kid in design.order]
+    return _run_plan(design.plan, own, par_combine, par_values)
 
 
 def _top_plus_max(
@@ -223,22 +288,39 @@ class OracleReport:
 def brute_force_optimum(
     design: Design, area_target_tenths: int, cap: int | None = None
 ) -> OracleReport:
-    best_feasible: tuple[Configuration, EvalResult] | None = None
-    best_feasible_key: tuple[int, int] | None = None
-    min_area: tuple[Configuration, EvalResult] | None = None
-    min_area_key: tuple[int, int] | None = None
-
-    kwargs = {} if cap is None else {"cap": cap}
-    for config in enumerate_configurations(design, **kwargs):
-        result = evaluate(design, config)
-        area_key = (result.area_tenths, result.latency)
-        if min_area_key is None or area_key < min_area_key:
-            min_area_key, min_area = area_key, (config, result)
-        if result.area_tenths <= area_target_tenths:
-            lat_key = (result.latency, result.area_tenths)
-            if best_feasible_key is None or lat_key < best_feasible_key:
-                best_feasible_key, best_feasible = lat_key, (config, result)
-
-    if min_area is None:
+    """Enumerate every configuration, in ``enumerate_configurations`` order."""
+    ids, combos = configuration_space(design, ENUMERATION_CAP if cap is None else cap)
+    kernels = design.kernels
+    areas = [[v.area_tenths for v in kernels[kid].variants] for kid in ids]
+    if not all(areas):
         raise ValueError("design has a kernel with no variants; nothing to enumerate")
-    return OracleReport(best_feasible=best_feasible, min_area=min_area)
+    position = {kid: i for i, kid in enumerate(ids)}
+    # Per slot: where its kernel sits in a combo, and that kernel's latencies.
+    slots = [
+        (position[kid], [v.latency for v in kernels[kid].variants]) for kid in design.order
+    ]
+    plan = design.plan
+
+    best_feasible_key: tuple[int, int] | None = None
+    best_feasible_combo: tuple[int, ...] | None = None
+    min_area_key: tuple[int, int] | None = None
+    min_area_combo: tuple[int, ...] = ()
+    for combo in combos:
+        area = sum([table[i] for table, i in zip(areas, combo)])
+        latency = _run_plan(plan, [table[combo[p]] for p, table in slots], max)
+        area_key = (area, latency)
+        if min_area_key is None or area_key < min_area_key:
+            min_area_key, min_area_combo = area_key, combo
+        if area <= area_target_tenths:
+            lat_key = (latency, area)
+            if best_feasible_key is None or lat_key < best_feasible_key:
+                best_feasible_key, best_feasible_combo = lat_key, combo
+
+    def scored(combo: tuple[int, ...]) -> tuple[Configuration, EvalResult]:
+        config = Configuration(tuple(zip(ids, combo)))
+        return config, evaluate(design, config)
+
+    return OracleReport(
+        best_feasible=None if best_feasible_combo is None else scored(best_feasible_combo),
+        min_area=scored(min_area_combo),
+    )

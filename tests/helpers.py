@@ -1,4 +1,5 @@
-"""Shared test utilities: seeded generators for random designs.
+"""Shared test utilities: seeded generators for random designs, and plain
+reference implementations of evaluation and the enumeration oracle.
 
 Generated designs are always structurally valid: acyclic call graphs where
 every kernel is reachable from the top, bodies that are well-formed
@@ -9,6 +10,7 @@ area/latency trade-offs (ascending area, descending latency).
 from __future__ import annotations
 
 import random
+from typing import Callable, Optional
 
 from hlsdse.design import (
     Call,
@@ -21,6 +23,7 @@ from hlsdse.design import (
     Loop,
     Par,
     Seq,
+    enumerate_configurations,
 )
 
 _SOURCE = KernelSource(
@@ -100,3 +103,59 @@ def random_configuration(rng: random.Random, design: Design) -> Configuration:
     return Configuration.from_mapping(
         {kid: rng.randrange(len(k.variants)) for kid, k in design.kernels.items()}
     )
+
+
+def reference_latency(
+    design: Design,
+    configuration: Configuration,
+    par_combine: Callable[[list[int]], int] = max,
+    par_values: Optional[dict[str, int]] = None,
+) -> int:
+    """Recursive fold straight over the composition trees, each kernel once.
+
+    ``par_combine=max`` is the correct model, ``sum`` the ``sum-mult`` one;
+    ``par_values`` receives every ``Par`` value under its node path.
+    """
+    index = configuration.as_dict()
+    totals: dict[str, int] = {}
+
+    def total(kid: str) -> int:
+        if kid not in totals:
+            kernel = design.kernels[kid]
+            body = 0 if kernel.body is None else node(kernel.body, f"{kid}/body")
+            totals[kid] = kernel.variants[index[kid]].latency + body
+        return totals[kid]
+
+    def node(n: CompositionNode, path: str) -> int:
+        if isinstance(n, Call):
+            return n.multiplicity * total(n.kernel)
+        if isinstance(n, Loop):
+            return n.trip_count * node(n.child, f"{path}/child")
+        values = [node(child, f"{path}/{i}") for i, child in enumerate(n.children)]
+        if isinstance(n, Seq):
+            return sum(values)
+        value = par_combine(values)
+        if par_values is not None:
+            par_values[path] = value
+        return value
+
+    return total(design.top)
+
+
+def reference_oracle(design: Design, area_target_tenths: int) -> tuple:
+    """``(best_feasible, min_area)``, each ``(configuration, latency, area)``
+    or None, by trying every configuration under the documented tie-break."""
+    rows = [
+        (
+            config,
+            reference_latency(design, config),
+            sum(design.kernels[kid].variants[i].area_tenths for kid, i in config.items),
+        )
+        for config in enumerate_configurations(design)
+    ]
+    best_feasible = min(
+        (row for row in rows if row[2] <= area_target_tenths),
+        key=lambda row: (row[1], row[2], row[0]),
+        default=None,
+    )
+    return best_feasible, min(rows, key=lambda row: (row[2], row[1], row[0]))

@@ -564,9 +564,11 @@ def test_external_policy_drives_a_full_run(tmp_path):
     command = write_child(tmp_path, "child.py", GOOD_CHILD)
     result = optimize_bottom_up(builtin("SYN1").skeleton)
     target = derive_area_target(result.baseline.area_tenths)
-    outcome, transcript = run(
-        ExternalPolicy(command), result.design, area_target_tenths=target
-    )
+    policy = ExternalPolicy(command)
+    outcome, transcript = run(policy, result.design, area_target_tenths=target)
+    # Closing reaps the child, ends the reader at EOF and releases its pipe.
+    assert not policy._reader.is_alive()
+    assert policy._proc.stdout.closed
     assert isinstance(outcome, Success)
     assert kinds(transcript) == ["inspect"] * 3 + ["solve_ilp", "select"]
     best = brute_force_optimum(result.design, target).best_feasible
@@ -699,11 +701,9 @@ SLOW_CHILD = """
 
 def test_external_timeout_becomes_policy_error(tmp_path):
     command = write_child(tmp_path, "slow.py", SLOW_CHILD)
-    outcome, _ = run(
-        ExternalPolicy(command, timeout_s=0.2),
-        parallel_pair_design(),
-        area_target_tenths=2200,
-    )
+    policy = ExternalPolicy(command, timeout_s=0.2)
+    outcome, _ = run(policy, parallel_pair_design(), area_target_tenths=2200)
+    assert policy._proc.stdout.closed  # the terminated child's pipe as well
     assert isinstance(outcome, Failure)
     assert outcome.reason is FailureReason.POLICY_ERROR
     assert "no action within" in outcome.detail

@@ -188,6 +188,21 @@ def test_validate_flags_cycle():
     assert any(isinstance(p, CycleDetected) for p in problems)
 
 
+def test_validate_reports_every_disjoint_cycle():
+    kernels = {
+        "top": Kernel("top", SOURCE, variants((10, 1)), seq(call("A"), call("C"))),
+        "A": Kernel("A", SOURCE, variants((10, 1)), call("B")),
+        "B": Kernel("B", SOURCE, variants((10, 1)), call("A")),
+        "C": Kernel("C", SOURCE, variants((10, 1)), call("D")),
+        "D": Kernel("D", SOURCE, variants((10, 1)), call("C")),
+    }
+    problems = validate(Design(kernels=kernels, top="top"))
+    assert [p for p in problems if isinstance(p, CycleDetected)] == [
+        CycleDetected("A"),
+        CycleDetected("C"),
+    ]
+
+
 def test_validate_flags_empty_variants_only_when_required():
     kernels = {"top": Kernel("top", SOURCE, ())}
     design = Design(kernels=kernels, top="top")

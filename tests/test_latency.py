@@ -5,8 +5,15 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_configuration, random_design
+from helpers import (
+    random_configuration,
+    random_design,
+    reference_latency,
+    reference_oracle,
+)
 from hlsdse.design import (
     Configuration,
     Design,
@@ -14,10 +21,12 @@ from hlsdse.design import (
     KernelSource,
     KernelVariant,
     call,
+    configuration_count,
     loop,
     par,
     seq,
 )
+from hlsdse.errors import CapExceeded
 from hlsdse.latency import (
     EvalResult,
     LatencyModelKind,
@@ -28,6 +37,7 @@ from hlsdse.latency import (
     eval_latency,
     eval_latency_given,
     evaluate,
+    lower_latency_plan,
     par_node_values,
 )
 
@@ -118,6 +128,25 @@ def test_eval_latency_given_accepts_callable():
 
 # ---------------------------------------------------------------------------
 # Area
+
+
+def test_latency_plan_lowers_bodies_to_linear_forms():
+    body = seq(call("A", 2), loop(3, par(call("B"), seq(call("A"), call("B")))), call("A"))
+    kernels = {
+        "top": Kernel("top", SOURCE, single(1, 1), body),
+        "A": Kernel("A", SOURCE, single(1, 1)),
+        "B": Kernel("B", SOURCE, single(1, 1)),
+    }
+    design = Design(kernels=kernels, top="top")
+    assert design.order == ("A", "B", "top")
+    plan = lower_latency_plan(design)
+    # Slots 0-2 are A, B, top; the Par gets slot 3. A's coefficients merge.
+    assert plan.size == 4 and plan.top == 2
+    assert plan.steps == (
+        (3, "top/body/1/child", (((1, 1),), ((0, 1), (1, 1)))),
+        (2, None, (((0, 3), (3, 3)),)),
+    )
+    assert design.plan == plan
 
 
 def test_area_counts_each_kernel_once():
@@ -271,3 +300,53 @@ def test_oracle_requires_variants():
     design = Design(kernels={"top": Kernel("top", SOURCE, ())}, top="top")
     with pytest.raises(ValueError):
         brute_force_optimum(design, 100)
+
+
+def test_oracle_checks_cap_and_variants_before_any_work():
+    # The body calls a kernel that does not exist, so any evaluation would
+    # raise KeyError; both checks must come first.
+    two = (KernelVariant(0, 10, 5), KernelVariant(1, 20, 3))
+    design = Design(kernels={"top": Kernel("top", SOURCE, two, call("ghost"))}, top="top")
+    with pytest.raises(CapExceeded):
+        brute_force_optimum(design, 100, cap=1)
+    empty = Design(kernels={"top": Kernel("top", SOURCE, (), call("ghost"))}, top="top")
+    with pytest.raises(ValueError, match="no variants"):
+        brute_force_optimum(empty, 100)
+
+
+# ---------------------------------------------------------------------------
+# Plan against the plain recursive reference
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_plan_and_oracle_agree_with_the_reference(seed):
+    rng = random.Random(seed)
+    design = random_design(rng, max_kernels=6, max_variants=3)
+    assert configuration_count(design) <= 2000
+    for _ in range(3):
+        config = random_configuration(rng, design)
+        expected_pars: dict[str, int] = {}
+        latency = reference_latency(design, config, max, expected_pars)
+        assert evaluate(design, config).latency == latency
+        assert par_node_values(design, config) == expected_pars
+        assert eval_faulty_latency(
+            LatencyModelKind.SUM_WITH_MULTIPLIERS, design, config
+        ) == reference_latency(design, config, sum)
+
+    def areas(pick) -> int:
+        return sum(pick(v.area_tenths for v in k.variants) for k in design.kernels.values())
+
+    smallest, largest = areas(min), areas(max)
+    for target in (smallest - 1, (smallest + largest) // 2, largest):
+        report = brute_force_optimum(design, target)
+        best, lowest = reference_oracle(design, target)
+        got_best = report.best_feasible and (
+            report.best_feasible[0],
+            report.best_feasible[1].latency,
+            report.best_feasible[1].area_tenths,
+        )
+        got_lowest = (
+            report.min_area[0], report.min_area[1].latency, report.min_area[1].area_tenths
+        )
+        assert (got_best, got_lowest) == (best, lowest)

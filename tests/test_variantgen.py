@@ -52,6 +52,19 @@ def test_a_500_kernel_call_chain_evaluates():
     )
 
 
+def test_a_2000_kernel_call_chain_validates_and_installs_variants():
+    ids = [f"k{i:04d}" for i in range(2000)]
+    kernels = {
+        kid: Kernel(kid, SOURCE, body=call(callee) if callee else None)
+        for kid, callee in zip(ids, ids[1:] + [None])
+    }
+    skeleton = Design(kernels=kernels, top=ids[0])
+    assert validate(skeleton, require_variants=False) == []
+    result = optimize_bottom_up(skeleton)
+    assert validate(result.design) == []
+    assert evaluate(result.design, result.greedy_config) == result.baseline
+
+
 def test_bottom_up_baseline_evaluates_the_greedy_choice():
     result = optimize_bottom_up(builtin("SYN3").skeleton)
     assert result.greedy_config == greedy_configuration(result.design)
