@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import json
 import os
-import queue
+import selectors
 import subprocess
-import threading
+import time
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -49,6 +49,9 @@ from .variantgen import greedy_configuration
 
 # Consecutive invalid actions tolerated before the run is abandoned.
 INVALID_ACTION_LIMIT = 3
+
+# Longest line read from an external policy; a longer one ends its output.
+MAX_ACTION_LINE_BYTES = 1 << 20
 
 DEFAULT_MAX_ACTIONS = 40
 DEFAULT_MAX_TRANSCRIPT_CHARS = 200_000
@@ -771,7 +774,8 @@ class ExternalPolicy(Policy):
     "step": n, "payload": {...}}`` line per recorded observation (rejected
     actions get an ``{"error": ...}`` payload instead). Child to engine:
     ``{"type": "action", "action": {...}}`` lines, one JSON object per line;
-    anything else counts as an invalid action.
+    anything else counts as an invalid action. Replies are read on the
+    calling thread through ``selectors``, so this needs a POSIX host.
     """
 
     def __init__(self, command: Sequence[str], timeout_s: float = 30.0) -> None:
@@ -779,9 +783,9 @@ class ExternalPolicy(Policy):
             raise ValueError("external policy needs a non-empty command")
         self.command = list(command)
         self.timeout_s = timeout_s
-        self._proc: Optional[subprocess.Popen[str]] = None
-        self._lines: "queue.Queue[Optional[str]]" = queue.Queue()
-        self._reader: Optional[threading.Thread] = None
+        self._proc: Optional[subprocess.Popen[bytes]] = None
+        self._unread = bytearray()
+        self._dead: Optional[str] = None  # why the output stream is unusable
         self._relayed = 0
 
     @property
@@ -796,13 +800,9 @@ class ExternalPolicy(Policy):
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.DEVNULL,
-                text=True,
-                bufsize=1,
             )
         except OSError as exc:
             raise InvalidAction(f"cannot start external policy: {exc}") from None
-        self._reader = threading.Thread(target=self._pump, daemon=True)
-        self._reader.start()
         self._send(
             {
                 "type": "task",
@@ -811,18 +811,12 @@ class ExternalPolicy(Policy):
             }
         )
 
-    def _pump(self) -> None:
-        assert self._proc is not None and self._proc.stdout is not None
-        for line in self._proc.stdout:
-            self._lines.put(line)
-        self._lines.put(None)
-
     def _send(self, message: dict[str, object]) -> None:
         assert self._proc is not None
         if self._proc.stdin is None or self._proc.poll() is not None:
             raise InvalidAction("external policy process is gone")
         try:
-            self._proc.stdin.write(json.dumps(message, sort_keys=True) + "\n")
+            self._proc.stdin.write(json.dumps(message, sort_keys=True).encode() + b"\n")
             self._proc.stdin.flush()
         except (OSError, ValueError) as exc:
             raise InvalidAction(f"cannot write to external policy: {exc}") from None
@@ -838,17 +832,8 @@ class ExternalPolicy(Policy):
             )
             self._relayed = entry.step + 1
         try:
-            line = self._lines.get(timeout=self.timeout_s)
-        except queue.Empty:
-            raise InvalidAction(
-                f"external policy produced no action within {self.timeout_s}s"
-            ) from None
-        if line is None:
-            self._lines.put(None)  # so every later call fails at once as well
-            raise InvalidAction("external policy closed its output")
-        try:
-            message = json.loads(line)
-        except json.JSONDecodeError as exc:
+            message = json.loads(self._read_line())
+        except ValueError as exc:  # bad JSON or bytes that are not UTF-8
             raise InvalidAction(f"malformed action line: {exc}") from None
         if (
             not isinstance(message, dict)
@@ -857,6 +842,34 @@ class ExternalPolicy(Policy):
         ):
             raise InvalidAction("expected {'type': 'action', 'action': {...}}")
         return action_from_payload(message["action"], self._task.area_target_tenths)
+
+    def _read_line(self) -> bytes:
+        """The child's next line, waiting at most ``timeout_s`` for it."""
+        assert self._proc is not None and self._proc.stdout is not None
+        fd = self._proc.stdout.fileno()
+        deadline = time.monotonic() + self.timeout_s
+        with selectors.DefaultSelector() as selector:
+            selector.register(fd, selectors.EVENT_READ)
+            while True:
+                end = self._unread.find(b"\n", 0, MAX_ACTION_LINE_BYTES + 1)
+                if end >= 0:
+                    line = bytes(self._unread[:end])
+                    del self._unread[: end + 1]
+                    return line
+                if len(self._unread) > MAX_ACTION_LINE_BYTES:
+                    self._dead = f"external policy line over {MAX_ACTION_LINE_BYTES} bytes"
+                if self._dead is not None:
+                    raise InvalidAction(self._dead)
+                remaining = deadline - time.monotonic()
+                if remaining <= 0 or not selector.select(remaining):
+                    raise InvalidAction(
+                        f"external policy produced no action within {self.timeout_s}s"
+                    )
+                chunk = os.read(fd, 1 << 16)
+                if not chunk:
+                    self._dead = "external policy closed its output"
+                    chunk = b"\n" if self._unread else b""  # ends a last, unterminated line
+                self._unread += chunk
 
     def notify_invalid(self, message: str) -> None:
         try:
@@ -885,9 +898,5 @@ class ExternalPolicy(Policy):
             except subprocess.TimeoutExpired:
                 self._proc.kill()
                 self._proc.wait()
-        # The reader ends at EOF once the child is gone; closing stdout under
-        # a reader that is still blocked in it is not safe, so then leave it.
-        if self._reader is not None:
-            self._reader.join(timeout=1)
-            if not self._reader.is_alive() and self._proc.stdout is not None:
-                self._proc.stdout.close()
+        if self._proc.stdout is not None:
+            self._proc.stdout.close()

@@ -32,7 +32,10 @@ ENUMERATION_CAP = 10**6
 
 def area_to_tenths(value: float | int) -> int:
     """Convert an area in units (at most one decimal place) to integer tenths."""
-    scaled = round(float(value) * 10)
+    try:
+        scaled = round(float(value) * 10)
+    except (OverflowError, ValueError):  # inf, nan, or an int beyond float range
+        raise ValueError(f"area {value!r} is not a finite number") from None
     if abs(float(value) * 10 - scaled) > 1e-6:
         raise ValueError(f"area {value!r} has more than one decimal place")
     return int(scaled)

@@ -207,23 +207,11 @@ def _one_run(
             design_id=benchmark.name,
             policy_id=spec.id,
         )
-    except FunctionalityBroken as exc:
-        outcome = Failure(FailureReason.FUNCTIONALITY_BROKEN, str(exc))
-        return RunRecord(
-            benchmark=benchmark.name,
-            policy=spec.id,
-            rep=rep,
-            seed=seed,
-            outcome=outcome,
-            actions_by_kind=actions,
-            final_latency=None,
-            final_area_tenths=None,
-            area_target_tenths=None,
-            met_target=False,
-            wall_time_s=time.perf_counter() - started,
-        )
     except HlsDseError as exc:
-        outcome = Failure(FailureReason.POLICY_ERROR, f"{type(exc).__name__}: {exc}")
+        if isinstance(exc, FunctionalityBroken):
+            outcome = Failure(FailureReason.FUNCTIONALITY_BROKEN, str(exc))
+        else:
+            outcome = Failure(FailureReason.POLICY_ERROR, f"{type(exc).__name__}: {exc}")
         return RunRecord(
             benchmark=benchmark.name,
             policy=spec.id,

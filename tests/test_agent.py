@@ -6,12 +6,14 @@ import json
 import os
 import sys
 import textwrap
+import threading
 import time
 from fractions import Fraction
 
 import pytest
 
 from hlsdse.agent import (
+    MAX_ACTION_LINE_BYTES,
     Ack,
     Budget,
     ExternalPolicy,
@@ -565,10 +567,12 @@ def test_external_policy_drives_a_full_run(tmp_path):
     result = optimize_bottom_up(builtin("SYN1").skeleton)
     target = derive_area_target(result.baseline.area_tenths)
     policy = ExternalPolicy(command)
+    threads = threading.active_count()
     outcome, transcript = run(policy, result.design, area_target_tenths=target)
-    # Closing reaps the child, ends the reader at EOF and releases its pipe.
-    assert not policy._reader.is_alive()
-    assert policy._proc.stdout.closed
+    # Closing releases both pipes and reaps the child; no thread outlives it.
+    assert policy._proc.stdin.closed and policy._proc.stdout.closed
+    assert policy._proc.returncode is not None
+    assert threading.active_count() == threads
     assert isinstance(outcome, Success)
     assert kinds(transcript) == ["inspect"] * 3 + ["solve_ilp", "select"]
     best = brute_force_optimum(result.design, target).best_feasible
@@ -620,8 +624,9 @@ BAD_CHILD = """
     import sys
 
     sys.stdin.readline()
-    for _ in range(5):
-        sys.stdout.write("this is not json\\n")
+    for _ in range(3):
+        sys.stdout.buffer.write(b"\\xff\\xfe is not UTF-8\\n")
+        sys.stdout.buffer.write(b"this is not json\\n")
         sys.stdout.flush()
     sys.stdin.read()
 """
@@ -707,3 +712,72 @@ def test_external_timeout_becomes_policy_error(tmp_path):
     assert isinstance(outcome, Failure)
     assert outcome.reason is FailureReason.POLICY_ERROR
     assert "no action within" in outcome.detail
+
+
+FLOODING_CHILD = """
+    import sys
+    import time
+
+    sys.stdin.readline()
+    sys.stdout.write("x" * 10_000_000)
+    sys.stdout.flush()
+    time.sleep(30)
+"""
+
+
+def test_external_line_without_end_is_cut_off(tmp_path):
+    command = write_child(tmp_path, "flood.py", FLOODING_CHILD)
+    policy = ExternalPolicy(command)
+    started = time.monotonic()
+    outcome, transcript = run(policy, parallel_pair_design(), area_target_tenths=2200)
+    assert time.monotonic() - started < 1  # no reply timeout, no 10 MB buffered
+    assert len(policy._unread) <= MAX_ACTION_LINE_BYTES + (1 << 16)
+    assert isinstance(outcome, Failure)
+    assert outcome.reason is FailureReason.POLICY_ERROR
+    assert f"over {MAX_ACTION_LINE_BYTES} bytes" in outcome.detail
+    assert transcript.entries == ()
+
+
+FRAMING_CHILD = """
+    import json
+    import sys
+    import time
+
+    def line(action):
+        return json.dumps({"type": "action", "action": action}) + "\\n"
+
+    task = json.loads(sys.stdin.readline())
+    kernels = [k["id"] for k in task["design_summary"]["kernels"]]
+    inspect = line({"inspect": {"kernel": kernels[0]}})
+    select = line({"select": {"choice": {kid: 0 for kid in kernels}}})
+    if sys.argv[1] == "two-lines-in-one-write":
+        sys.stdout.write(inspect + select)
+    elif sys.argv[1] == "one-line-in-three-writes":
+        third = len(select) // 3
+        for piece in (select[:third], select[third : 2 * third], select[2 * third :]):
+            sys.stdout.write(piece)
+            sys.stdout.flush()
+            time.sleep(0.05)
+    else:  # a last line without its newline, then end-of-file
+        sys.stdout.write(select.rstrip("\\n"))
+        sys.exit()
+    sys.stdout.flush()
+    sys.stdin.read()
+"""
+
+
+@pytest.mark.parametrize(
+    "mode, expected",
+    [
+        ("two-lines-in-one-write", ["inspect", "select"]),
+        ("one-line-in-three-writes", ["select"]),
+        ("last-line-at-eof", ["select"]),
+    ],
+)
+def test_external_lines_are_framed_across_writes(tmp_path, mode, expected):
+    command = write_child(tmp_path, "framing.py", FRAMING_CHILD) + [mode]
+    outcome, transcript = run(
+        ExternalPolicy(command), parallel_pair_design(), area_target_tenths=2200
+    )
+    assert isinstance(outcome, Success)
+    assert kinds(transcript) == expected

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -391,6 +392,14 @@ def test_parse_rejects_bad_node_and_bad_types():
     data["kernels"][0]["body"] = {"call": {"kernel": "A", "multiplicity": True}}
     with pytest.raises(ParseError, match="expected an integer"):
         design_from_dict(data)
+
+
+@pytest.mark.parametrize("area", [float("inf"), 10**400], ids=["inf", "huge-int"])
+def test_loads_design_rejects_a_non_finite_area(area):
+    data = design_to_dict(full_featured_design())
+    data["kernels"][0]["variants"][0]["area"] = area  # dumped as Infinity / 1000...0
+    with pytest.raises(ParseError, match="not a finite number"):
+        loads_design(json.dumps(data))
 
 
 def test_loads_design_reports_invalid_json():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -122,6 +123,25 @@ def test_missing_external_command_becomes_a_failure_record(tmp_path):
     assert "cannot start external policy" in records[0].outcome.detail
 
 
+INFINITE_TARGET_CHILD = """
+import sys
+
+while sys.stdin.readline():
+    line = '{"type": "action", "action": {"solve_ilp": {"area_target": Infinity}}}'
+    print(line, flush=True)
+"""
+
+
+def test_non_finite_external_area_target_becomes_a_failure_record(tmp_path):
+    child = tmp_path / "infinite.py"
+    child.write_text(INFINITE_TARGET_CHILD)
+    spec = PolicySpec("external", lambda: ExternalPolicy([sys.executable, str(child)]))
+    records = run_experiment([builtin("SYN1")], [spec, ORACLE], repetitions=1)
+    assert [type(r.outcome) for r in records] == [Failure, Success]
+    assert records[0].outcome.reason is FailureReason.POLICY_ERROR
+    assert "not a finite number" in records[0].outcome.detail
+
+
 def test_repetitions_must_be_positive():
     with pytest.raises(ValueError):
         run_experiment([builtin("SYN1")], [ORACLE], repetitions=0)
@@ -186,6 +206,16 @@ def test_load_records_reports_the_offending_line(tmp_path):
     with pytest.raises(ParseError) as exc_info:
         load_records(path)
     assert exc_info.value.where == f"{path}:2"
+
+
+def test_load_records_rejects_a_non_finite_area(tmp_path):
+    data = record_to_dict(small_batch()[0])
+    data["final_area"] = float("inf")
+    path = tmp_path / "runs.jsonl"
+    path.write_text(json.dumps(data) + "\n")  # written as Infinity
+    with pytest.raises(ParseError, match="not a finite number") as exc_info:
+        load_records(path)
+    assert exc_info.value.where == f"{path}:1"
 
 
 # ---------------------------------------------------------------------------
