@@ -15,10 +15,13 @@ target of 90% of the greedy baseline (their kernels' area spread is under
 
 from __future__ import annotations
 
+import ast
 import json
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Collection, Mapping
 
 from .design import (
     Call,
@@ -47,6 +50,11 @@ class Benchmark:
     name: str
     skeleton: Design
     latency_formula: str
+
+    @cached_property
+    def formula(self) -> tuple:
+        """``latency_formula`` checked and compiled once (``parse_formula``)."""
+        return parse_formula(self.latency_formula, self.skeleton.kernels)
 
 
 def _src(trip: int, body_latency: int, ops: int, base_area: float, op_area: float) -> KernelSource:
@@ -190,11 +198,50 @@ def call_count(design: Design) -> int:
     return total
 
 
+def parse_formula(text: str, kernels: Collection[str]) -> tuple:
+    """A latency formula as a postfix program; ``()`` for an empty formula.
+
+    Accepts ``f_<kernel>`` names of the given kernels, integer literals, ``+``,
+    ``*`` and ``max(...)``, and raises ParseError on anything else. Operators
+    become ``(function, operand count)``; no step recurses.
+    """
+    if not text.strip():
+        return ()
+    try:
+        stack = [ast.parse(text, mode="eval").body]
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
+        raise ParseError(f"latency formula: {exc}") from None
+    program: list = []
+    while stack:  # pre-order, right child first: reversed, a post-order
+        node = stack.pop()
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            program.append(node.value)
+        elif isinstance(node, ast.Name) and node.id.startswith("f_") and node.id[2:] in kernels:
+            program.append(node.id[2:])
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Mult)):
+            program.append((sum if isinstance(node.op, ast.Add) else math.prod, 2))
+            stack += [node.left, node.right]
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "max"
+              and node.args and not node.keywords):
+            program.append((max, len(node.args)))
+            stack += node.args
+        else:
+            part = ast.get_source_segment(text, node) or type(node).__name__
+            raise ParseError(f"latency formula: {part[:60]!r} is not allowed")
+    return tuple(reversed(program))
+
+
 def formula_latency(benchmark: Benchmark, self_latencies: Mapping[str, int]) -> int:
-    """Evaluate the stored symbolic formula with per-kernel variant latencies."""
-    scope = {f"f_{kid}": lat for kid, lat in self_latencies.items()}
-    scope["max"] = max
-    return eval(benchmark.latency_formula, {"__builtins__": {}}, scope)
+    """Run the stored symbolic formula with per-kernel variant latencies."""
+    if not benchmark.formula:
+        raise ValueError(f"benchmark {benchmark.name!r} has no latency formula")
+    values: list[int] = []
+    for op in benchmark.formula:
+        if isinstance(op, tuple):
+            values[-op[1]:] = [op[0](values[-op[1]:])]
+        else:
+            values.append(op if isinstance(op, int) else self_latencies[op])
+    return values[0]
 
 
 def gap_fixture() -> tuple[Design, int]:
@@ -248,16 +295,19 @@ def benchmark_from_dict(data: Any) -> Benchmark:
     violations = validate(design, require_variants=False)
     if violations:
         raise ValidationError(violations)
-    return Benchmark(name=name, skeleton=design, latency_formula=formula)
+    benchmark = Benchmark(name=name, skeleton=design, latency_formula=formula)
+    benchmark.formula  # raises ParseError now on a formula outside the whitelist
+    return benchmark
 
 
 def load(path: str | Path) -> Benchmark:
     text = Path(path).read_text()
     try:
-        data = json.loads(text)
+        return benchmark_from_dict(json.loads(text))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", where=str(path)) from None
-    return benchmark_from_dict(data)
+    except RecursionError:  # the decoder's own, or the node parser's
+        raise ParseError("benchmark nested too deeply", where=str(path)) from None
 
 
 def save(benchmark: Benchmark, path: str | Path) -> None:

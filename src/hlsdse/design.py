@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Any, Iterator, Mapping, Union
 from .errors import CapExceeded, CyclicDesign, ParseError
 
 if TYPE_CHECKING:
+    from .front import DesignFront
     from .latency import LatencyPlan
 
 ENUMERATION_CAP = 10**6
@@ -172,6 +173,13 @@ class Design:
         from .latency import lower_latency_plan
 
         return lower_latency_plan(self)
+
+    @cached_property
+    def front(self) -> "DesignFront":
+        """``front.compose_front(self)``, computed once per design."""
+        from .front import compose_front
+
+        return compose_front(self)
 
     def with_variants(self, options: Mapping[str, tuple[KernelVariant, ...]]) -> "Design":
         """Return a copy with the given variant lists installed per kernel."""
@@ -612,10 +620,11 @@ def design_to_dict(design: Design) -> dict[str, Any]:
 
 def loads_design(text: str) -> Design:
     try:
-        data = json.loads(text)
+        return design_from_dict(json.loads(text))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
-    return design_from_dict(data)
+    except RecursionError:  # the decoder's own, or the node parser's
+        raise ParseError("design nested too deeply") from None
 
 
 def dumps_design(design: Design) -> str:

@@ -1,7 +1,8 @@
 """Batch experiment runner: repeated seeded runs, scoring, and file reports.
 
-One run = variant generation for a benchmark skeleton, an area target at a
-fixed fraction of the greedy baseline, and one policy-driven session. A batch
+One run = the benchmark's task (variants and greedy baseline, built once per
+benchmark) with the run's seeded fault draws, an area target at a fixed
+fraction of the greedy baseline, and one policy-driven session. A batch
 sweeps (benchmark x policy x repetition) with per-run seeds derived from a
 master seed, so reruns are byte-identical. Scoring follows a two-scenario
 rule: when any run of a benchmark meets the target, points go to the runs
@@ -40,9 +41,11 @@ from .latency import EvalResult
 from .synth import DEFAULT_MAX_VARIANTS
 from .variantgen import (
     DEFAULT_AREA_TARGET_FRACTION,
+    BottomUpResult,
     FaultEvent,
     derive_area_target,
-    optimize_bottom_up,
+    draw_faults,
+    prepare_task,
 )
 
 ACTION_KINDS = ("inspect", "solve_ilp", "synthesize", "select")
@@ -180,23 +183,22 @@ def load_records(path: Union[str, Path]) -> list[RunRecord]:
 
 def _one_run(
     benchmark: Benchmark,
+    task: Union[BottomUpResult, HlsDseError],
     spec: PolicySpec,
     rep: int,
     seed: int,
     budget: Budget,
     fault_rate: float,
     area_target_fraction: Union[float, Fraction],
-    max_variants: int,
 ) -> RunRecord:
+    """One run on the benchmark's shared task, or on the error preparing it."""
     started = time.perf_counter()
     actions = {kind: 0 for kind in ACTION_KINDS}
+    transcript, fault_log = None, ()
     try:
-        task1 = optimize_bottom_up(
-            benchmark.skeleton,
-            max_variants=max_variants,
-            fault_rate=fault_rate,
-            seed=seed,
-        )
+        if isinstance(task, HlsDseError):
+            raise task.with_traceback(None)
+        task1 = draw_faults(task, fault_rate, seed)
         target = derive_area_target(task1.baseline.area_tenths, area_target_fraction)
         outcome, transcript = run(
             spec.make(),
@@ -207,25 +209,14 @@ def _one_run(
             design_id=benchmark.name,
             policy_id=spec.id,
         )
+        fault_log = task1.fault_log
     except HlsDseError as exc:
         if isinstance(exc, FunctionalityBroken):
             outcome = Failure(FailureReason.FUNCTIONALITY_BROKEN, str(exc))
         else:
             outcome = Failure(FailureReason.POLICY_ERROR, f"{type(exc).__name__}: {exc}")
-        return RunRecord(
-            benchmark=benchmark.name,
-            policy=spec.id,
-            rep=rep,
-            seed=seed,
-            outcome=outcome,
-            actions_by_kind=actions,
-            final_latency=None,
-            final_area_tenths=None,
-            area_target_tenths=None,
-            met_target=False,
-            wall_time_s=time.perf_counter() - started,
-        )
-    for entry in transcript.entries:
+        target = None
+    for entry in transcript.entries if transcript is not None else ():
         actions[action_kind(entry.action)] += 1
     success = isinstance(outcome, Success)
     return RunRecord(
@@ -239,7 +230,7 @@ def _one_run(
         final_area_tenths=outcome.result.area_tenths if success else None,
         area_target_tenths=target,
         met_target=outcome.met_target if success else False,
-        fault_log=task1.fault_log,
+        fault_log=fault_log,
         transcript=transcript,
         wall_time_s=time.perf_counter() - started,
     )
@@ -266,19 +257,19 @@ def run_experiment(
         raise ValueError(f"repetitions must be positive, got {repetitions}")
     records = []
     for benchmark in benchmarks:
+        # Variants and baseline do not depend on the run: one task serves all.
+        try:
+            task: Union[BottomUpResult, HlsDseError] = prepare_task(
+                benchmark.skeleton, max_variants
+            )
+        except HlsDseError as exc:
+            task = exc
         for spec in policies:
             for rep in range(repetitions):
                 seed = derive_seed(master_seed, benchmark.name, spec.id, rep)
                 records.append(
                     _one_run(
-                        benchmark,
-                        spec,
-                        rep,
-                        seed,
-                        budget,
-                        fault_rate,
-                        area_target_fraction,
-                        max_variants,
+                        benchmark, task, spec, rep, seed, budget, fault_rate, area_target_fraction
                     )
                 )
     return records

@@ -1,21 +1,20 @@
-"""Bottom-up variant generation over a design skeleton.
+"""Variant generation over a design skeleton, and seeded toolchain faults.
 
-Kernels are processed leaves-first (reverse topological order over the call
-graph). Each kernel's pragma sweep yields a Pareto-trimmed variant list;
-while a parent is being prepared, already-processed children are considered
-bound to their lowest-latency option, which is also how the baseline
-configuration is formed once every kernel has options installed.
+Each kernel's variants are its pragma sweep's Pareto front
+(``synth.generate_variants``), a pure function of the kernel's source: no
+kernel's list depends on its callees or on the run. The greedy baseline picks
+every kernel's lowest-latency variant. So ``prepare_task`` builds a
+benchmark's task once, and each run only draws its faults (``draw_faults``).
 
-Generation attempts can be marked faulty at a configurable rate to emulate a
-flaky toolchain: each kernel draws from its own PRNG stream (split from the
-master seed by kernel id, so results do not depend on processing order) and
-gets up to three attempts before the run aborts.
+Faults emulate a flaky toolchain: in callee-first order each kernel draws
+from its own PRNG stream (split from the run's seed by kernel id) and gets up
+to three attempts, the first fully faulty kernel aborting the run.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Union
 
@@ -23,7 +22,6 @@ from .design import (
     Configuration,
     CycleDetected,
     Design,
-    KernelVariant,
     validate,
 )
 from .errors import FunctionalityBroken, ValidationError
@@ -66,16 +64,10 @@ def greedy_configuration(design: Design) -> Configuration:
     return Configuration.from_mapping(choice)
 
 
-def optimize_bottom_up(
-    skeleton: Design,
-    max_variants: int = DEFAULT_MAX_VARIANTS,
-    fault_rate: float = 0.0,
-    seed: int = 0,
-) -> BottomUpResult:
-    """Generate variants for every kernel, leaves first, and pick a baseline.
+def prepare_task(skeleton: Design, max_variants: int = DEFAULT_MAX_VARIANTS) -> BottomUpResult:
+    """Generate every kernel's variants and the greedy baseline; no faults drawn.
 
-    Raises FunctionalityBroken when a kernel stays faulty through all
-    attempts, CyclicDesign on call-graph cycles, and ValidationError on other
+    Raises CyclicDesign on call-graph cycles and ValidationError on other
     structural problems with the skeleton.
     """
     violations = [
@@ -84,33 +76,40 @@ def optimize_bottom_up(
     ]
     if violations:
         raise ValidationError(violations)
-
-    fault_log: list[FaultEvent] = []
-    options: dict[str, tuple[KernelVariant, ...]] = {}
-    for kid in skeleton.order:  # raises CyclicDesign on cycles
-        rng = random.Random(f"{seed}:{kid}")
-        failed_attempts: list[int] = []
-        produced = False
-        for attempt in range(1, MAX_GENERATION_ATTEMPTS + 1):
-            if fault_rate > 0 and rng.random() < fault_rate:
-                failed_attempts.append(attempt)
-                continue
-            produced = True
-            break
-        repaired = produced
-        fault_log.extend(FaultEvent(kid, a, repaired) for a in failed_attempts)
-        if not produced:
-            raise FunctionalityBroken(kid, MAX_GENERATION_ATTEMPTS)
-        options[kid] = generate_variants(skeleton.kernels[kid].source, max_variants)
-
-    design = skeleton.with_variants(options)
-    greedy = greedy_configuration(design)
-    return BottomUpResult(
-        design=design,
-        greedy_config=greedy,
-        baseline=evaluate(design, greedy),
-        fault_log=tuple(fault_log),
+    design = skeleton.with_variants(
+        {kid: generate_variants(skeleton.kernels[kid].source, max_variants)
+         for kid in skeleton.order}  # raises CyclicDesign on cycles
     )
+    greedy = greedy_configuration(design)
+    return BottomUpResult(design, greedy, evaluate(design, greedy), fault_log=())
+
+
+def draw_faults(task: BottomUpResult, fault_rate: float, seed: int) -> BottomUpResult:
+    """``task`` with one run's fault log; raises FunctionalityBroken when a
+    kernel stays faulty through all attempts."""
+    if fault_rate <= 0:
+        return task
+    fault_log: list[FaultEvent] = []
+    for kid in task.design.order:
+        rng = random.Random(f"{seed}:{kid}")
+        failed = 0
+        while failed < MAX_GENERATION_ATTEMPTS and rng.random() < fault_rate:
+            failed += 1
+        repaired = failed < MAX_GENERATION_ATTEMPTS
+        fault_log.extend(FaultEvent(kid, a, repaired) for a in range(1, failed + 1))
+        if not repaired:
+            raise FunctionalityBroken(kid, MAX_GENERATION_ATTEMPTS)
+    return replace(task, fault_log=tuple(fault_log))
+
+
+def optimize_bottom_up(
+    skeleton: Design,
+    max_variants: int = DEFAULT_MAX_VARIANTS,
+    fault_rate: float = 0.0,
+    seed: int = 0,
+) -> BottomUpResult:
+    """``prepare_task`` and then ``draw_faults`` for one run."""
+    return draw_faults(prepare_task(skeleton, max_variants), fault_rate, seed)
 
 
 def derive_area_target(

@@ -75,14 +75,26 @@ def random_design(
     allow_par: bool = True,
     allow_loop: bool = True,
     max_multiplicity: int = 3,
+    second_caller: float = 0.0,
 ) -> Design:
     """Random valid design: kernel k0 is the top, every other kernel gets a
-    caller with a smaller index, so the call graph is acyclic and connected."""
+    caller with a smaller index, so the call graph is acyclic and connected.
+
+    With ``second_caller`` > 0, each kernel from k2 on also gets, with that
+    probability, a second, different earlier caller, so that kernels are
+    shared. At 0 no extra number is drawn: the designs are those of earlier
+    versions for the same seed.
+    """
     count = rng.randint(1, max_kernels)
     ids = [f"k{i}" for i in range(count)]
     callees: dict[str, list[str]] = {kid: [] for kid in ids}
     for i in range(1, count):
-        callees[ids[rng.randrange(i)]].append(ids[i])
+        first = rng.randrange(i)
+        callees[ids[first]].append(ids[i])
+        if second_caller and i >= 2 and rng.random() < second_caller:
+            other = rng.randrange(i - 1)
+            other += other >= first  # any earlier kernel but the first caller
+            callees[ids[other]].append(ids[i])
     kernels = {}
     for kid in ids:
         body = (

@@ -538,6 +538,14 @@ def write_child(tmp_path, name: str, body: str) -> list[str]:
     return [sys.executable, str(path)]
 
 
+def run_external(policy: ExternalPolicy, design, area_target_tenths: int):
+    """``run`` with an external policy; closing it must have reaped the child
+    (a child left running only warns, so the leak check alone misses it)."""
+    outcome, transcript = run(policy, design, area_target_tenths=area_target_tenths)
+    assert policy._proc.returncode is not None
+    return outcome, transcript
+
+
 GOOD_CHILD = """
     import json
     import sys
@@ -606,7 +614,7 @@ def test_external_wire_protocol_framing(tmp_path):
     log_path = tmp_path / "wire.log"
     command = write_child(tmp_path, "logger.py", LOGGING_CHILD) + [str(log_path)]
     design = parallel_pair_design()
-    outcome, _ = run(ExternalPolicy(command), design, area_target_tenths=2200)
+    outcome, _ = run_external(ExternalPolicy(command), design, 2200)
     assert isinstance(outcome, Success)
     lines = [json.loads(l) for l in log_path.read_text().splitlines()]
     task, observation = lines
@@ -634,9 +642,7 @@ BAD_CHILD = """
 
 def test_external_garbage_becomes_policy_error(tmp_path):
     command = write_child(tmp_path, "garbage.py", BAD_CHILD)
-    outcome, transcript = run(
-        ExternalPolicy(command), parallel_pair_design(), area_target_tenths=2200
-    )
+    outcome, transcript = run_external(ExternalPolicy(command), parallel_pair_design(), 2200)
     assert isinstance(outcome, Failure)
     assert outcome.reason is FailureReason.POLICY_ERROR
     assert transcript.entries == ()
@@ -652,9 +658,7 @@ QUITTER_CHILD = """
 def test_external_early_exit_becomes_policy_error(tmp_path):
     command = write_child(tmp_path, "quitter.py", QUITTER_CHILD)
     started = time.monotonic()
-    outcome, _ = run(
-        ExternalPolicy(command), parallel_pair_design(), area_target_tenths=2200
-    )
+    outcome, _ = run_external(ExternalPolicy(command), parallel_pair_design(), 2200)
     assert time.monotonic() - started < 5  # no wait for the reply timeout
     assert isinstance(outcome, Failure)
     assert outcome.reason is FailureReason.POLICY_ERROR
@@ -685,9 +689,7 @@ RETRYING_CHILD = """
 def test_external_rejection_feedback_lets_the_child_recover(tmp_path):
     log_path = tmp_path / "rejections.log"
     command = write_child(tmp_path, "retrying.py", RETRYING_CHILD) + [str(log_path)]
-    outcome, transcript = run(
-        ExternalPolicy(command), parallel_pair_design(), area_target_tenths=2200
-    )
+    outcome, transcript = run_external(ExternalPolicy(command), parallel_pair_design(), 2200)
     assert isinstance(outcome, Success)
     assert kinds(transcript) == ["select"]
     rejection = json.loads(log_path.read_text())
@@ -707,7 +709,7 @@ SLOW_CHILD = """
 def test_external_timeout_becomes_policy_error(tmp_path):
     command = write_child(tmp_path, "slow.py", SLOW_CHILD)
     policy = ExternalPolicy(command, timeout_s=0.2)
-    outcome, _ = run(policy, parallel_pair_design(), area_target_tenths=2200)
+    outcome, _ = run_external(policy, parallel_pair_design(), 2200)
     assert policy._proc.stdout.closed  # the terminated child's pipe as well
     assert isinstance(outcome, Failure)
     assert outcome.reason is FailureReason.POLICY_ERROR
@@ -729,7 +731,7 @@ def test_external_line_without_end_is_cut_off(tmp_path):
     command = write_child(tmp_path, "flood.py", FLOODING_CHILD)
     policy = ExternalPolicy(command)
     started = time.monotonic()
-    outcome, transcript = run(policy, parallel_pair_design(), area_target_tenths=2200)
+    outcome, transcript = run_external(policy, parallel_pair_design(), 2200)
     assert time.monotonic() - started < 1  # no reply timeout, no 10 MB buffered
     assert len(policy._unread) <= MAX_ACTION_LINE_BYTES + (1 << 16)
     assert isinstance(outcome, Failure)
@@ -776,8 +778,6 @@ FRAMING_CHILD = """
 )
 def test_external_lines_are_framed_across_writes(tmp_path, mode, expected):
     command = write_child(tmp_path, "framing.py", FRAMING_CHILD) + [mode]
-    outcome, transcript = run(
-        ExternalPolicy(command), parallel_pair_design(), area_target_tenths=2200
-    )
+    outcome, transcript = run_external(ExternalPolicy(command), parallel_pair_design(), 2200)
     assert isinstance(outcome, Success)
     assert kinds(transcript) == expected

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -73,6 +74,35 @@ def test_looped_shapes_scale_their_formula():
 def test_formula_latency_evaluates_max():
     benchmark = builtin("SYN2")
     assert formula_latency(benchmark, {"top": 1, "A": 2, "B": 3}) == 4
+
+
+@pytest.mark.parametrize(
+    "formula",
+    [
+        "__import__('os').system('true')",
+        "f_A.real",
+        "(lambda: 1)()",
+        "f_A - f_B",
+        "max(f_A, key=f_B)",
+        "f_ghost",
+        "1.5",
+        "f_A +",
+    ],
+)
+def test_formulas_outside_the_whitelist_are_rejected_at_load(formula):
+    data = benchmark_to_dict(builtin("SYN1"))
+    data["latency_formula"] = formula
+    with pytest.raises(ParseError, match="latency formula"):
+        benchmark_from_dict(data)
+
+
+def test_an_empty_formula_is_accepted_and_parsed_once():
+    data = benchmark_to_dict(builtin("SYN1"))
+    data["latency_formula"] = ""
+    assert benchmark_from_dict(data).formula == ()
+    benchmark = builtin("SYN4")
+    assert benchmark.formula is benchmark.formula
+    assert formula_latency(benchmark, {"top": 1, "A": 2, "B": 3, "C": 4}) == 12
 
 
 @pytest.mark.parametrize("name", ("SYN2", "SYN4"))
@@ -147,4 +177,14 @@ def test_load_reports_bad_json_with_path(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{oops")
     with pytest.raises(ParseError, match="broken.json"):
+        load(path)
+
+
+def test_load_turns_deep_nesting_into_a_parse_error_naming_the_file(tmp_path):
+    data = benchmark_to_dict(builtin("SYN1"))
+    data["kernels"][0]["body"] = "DEEP"
+    deep = '{"seq": [' * 2000 + '{"call": {"kernel": "A"}}' + "]}" * 2000
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(data).replace('"DEEP"', deep))
+    with pytest.raises(ParseError, match="deep.json: benchmark nested too deeply"):
         load(path)

@@ -8,6 +8,8 @@ import textwrap
 
 import pytest
 
+from hlsdse import cli
+from hlsdse.agent import ExternalPolicy
 from hlsdse.bench import builtin_names
 from hlsdse.cli import main
 
@@ -98,7 +100,14 @@ def test_run_rejects_bad_flags(tmp_path, capsys):
         assert captured.err.startswith("error: ")
 
 
-def test_run_drives_an_external_policy(tmp_path, capsys):
+def test_run_drives_an_external_policy(tmp_path, capsys, monkeypatch):
+    started: list[ExternalPolicy] = []
+
+    def recorded(command):
+        started.append(ExternalPolicy(command))
+        return started[-1]
+
+    monkeypatch.setattr(cli, "ExternalPolicy", recorded)
     child = tmp_path / "child.py"
     child.write_text(
         textwrap.dedent(
@@ -131,6 +140,8 @@ def test_run_drives_an_external_policy(tmp_path, capsys):
         ]
     )
     assert code == 0
+    children = [p._proc for p in started if p._proc is not None]  # one made for its id only
+    assert [c.returncode is not None for c in children] == [True]  # reaped
     record = json.loads((out / "runs.jsonl").read_text().splitlines()[0])
     assert record["policy"].startswith("external[")
     assert "success" in record["outcome"]

@@ -407,6 +407,15 @@ def test_loads_design_reports_invalid_json():
         loads_design("{not json")
 
 
+def test_loads_design_turns_deep_nesting_into_a_parse_error():
+    data = design_to_dict(full_featured_design())
+    data["kernels"][0]["body"] = "DEEP"
+    callee = data["kernels"][1]["id"]
+    deep = '{"seq": [' * 2000 + json.dumps({"call": {"kernel": callee}}) + "]}" * 2000
+    with pytest.raises(ParseError, match="nested too deeply"):
+        loads_design(json.dumps(data).replace('"DEEP"', deep))
+
+
 def test_random_design_json_round_trip():
     rng = random.Random(99)
     for _ in range(25):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -16,9 +17,9 @@ from hlsdse.agent import (
     Success,
     TrialAndErrorPolicy,
 )
-from hlsdse.bench import builtin
-from hlsdse.design import Configuration, area_to_tenths
-from hlsdse.errors import EmptyInput, ParseError
+from hlsdse.bench import Benchmark, builtin
+from hlsdse.design import Configuration, Design, area_to_tenths, call
+from hlsdse.errors import CyclicDesign, EmptyInput, FunctionalityBroken, ParseError
 from hlsdse.experiment import (
     ACTION_KINDS,
     SUMMARY_COLUMNS,
@@ -35,6 +36,7 @@ from hlsdse.experiment import (
     summary_rows,
 )
 from hlsdse.latency import EvalResult
+from hlsdse.variantgen import derive_area_target, optimize_bottom_up
 
 ORACLE = PolicySpec("oracle", OraclePolicy)
 ILP = PolicySpec("ilp-first[correct]", IlpFirstPolicy)
@@ -115,6 +117,36 @@ def test_broken_variant_generation_becomes_a_failure_record():
         assert record.transcript is None
 
 
+def test_runs_share_one_task_but_draw_their_own_faults():
+    # Each record must be what one run of optimize_bottom_up would give.
+    benchmark = builtin("SYN3")
+    records = run_experiment([benchmark], [ORACLE], repetitions=12, fault_rate=0.4)
+    assert {type(r.outcome) for r in records} == {Success, Failure}
+    for record in records:
+        try:
+            task = optimize_bottom_up(benchmark.skeleton, fault_rate=0.4, seed=record.seed)
+        except FunctionalityBroken as exc:
+            assert record.outcome == Failure(FailureReason.FUNCTIONALITY_BROKEN, str(exc))
+            assert record.fault_log == ()
+        else:
+            assert record.fault_log == task.fault_log
+            assert record.area_target_tenths == derive_area_target(task.baseline.area_tenths)
+
+
+def test_an_invalid_skeleton_gives_every_run_the_same_failure_record():
+    skeleton = builtin("SYN1").skeleton
+    kernels = dict(skeleton.kernels)
+    kernels["A"] = replace(kernels["A"], body=call("top"))  # a cycle
+    cyclic = Benchmark("CYCLIC", Design(kernels=kernels, top="top"), "")
+    ilp_first = PolicySpec("ilp-first[correct]", IlpFirstPolicy)
+    records = run_experiment([cyclic], [ORACLE, ilp_first], repetitions=2)
+    with pytest.raises(CyclicDesign) as raised:
+        optimize_bottom_up(cyclic.skeleton)
+    expected = Failure(FailureReason.POLICY_ERROR, f"CyclicDesign: {raised.value}")
+    assert [r.outcome for r in records] == [expected] * 4
+    assert all(r.transcript is None and r.area_target_tenths is None for r in records)
+
+
 def test_missing_external_command_becomes_a_failure_record(tmp_path):
     spec = PolicySpec("external", lambda: ExternalPolicy([str(tmp_path / "missing")]))
     records = run_experiment([builtin("SYN1")], [spec], repetitions=1)
@@ -135,8 +167,13 @@ while sys.stdin.readline():
 def test_non_finite_external_area_target_becomes_a_failure_record(tmp_path):
     child = tmp_path / "infinite.py"
     child.write_text(INFINITE_TARGET_CHILD)
-    spec = PolicySpec("external", lambda: ExternalPolicy([sys.executable, str(child)]))
+    started: list[ExternalPolicy] = []
+    spec = PolicySpec(
+        "external",
+        lambda: started.append(ExternalPolicy([sys.executable, str(child)])) or started[-1],
+    )
     records = run_experiment([builtin("SYN1")], [spec, ORACLE], repetitions=1)
+    assert [p._proc.returncode is not None for p in started] == [True]  # reaped
     assert [type(r.outcome) for r in records] == [Failure, Success]
     assert records[0].outcome.reason is FailureReason.POLICY_ERROR
     assert "not a finite number" in records[0].outcome.detail
