@@ -26,9 +26,17 @@ from .errors import CapExceeded, CyclicDesign, ParseError
 
 if TYPE_CHECKING:
     from .front import DesignFront
-    from .latency import LatencyPlan
+    from .latency import LatencyModelKind, LatencyPlan
 
 ENUMERATION_CAP = 10**6
+
+MAX_BODY_DEPTH = 256
+"""Deepest composition body a design file may hold, its root being level 1.
+
+Rendering, lowering and validating a body recurse up to three interpreter
+frames per level, so a file at this depth still runs end to end under the
+default recursion limit.
+"""
 
 
 def area_to_tenths(value: float | int) -> int:
@@ -168,11 +176,18 @@ class Design:
         return topological_order(self)
 
     @cached_property
-    def plan(self) -> "LatencyPlan":
-        """``latency.lower_latency_plan(self)``, computed once per design."""
-        from .latency import lower_latency_plan
+    def _plans(self) -> dict["LatencyModelKind", "LatencyPlan"]:
+        return {}
 
-        return lower_latency_plan(self)
+    def plan(self, kind: "LatencyModelKind") -> "LatencyPlan":
+        """``latency.lower_latency_plan(self, kind)``, lowered on first use
+        and kept once per design and model."""
+        plan = self._plans.get(kind)
+        if plan is None:
+            from .latency import lower_latency_plan
+
+            plan = self._plans[kind] = lower_latency_plan(self, kind)
+        return plan
 
     @cached_property
     def front(self) -> "DesignFront":
@@ -488,7 +503,9 @@ def _parse_area(value: Any, where: str) -> int:
         raise ParseError(str(exc), where) from None
 
 
-def _node_from_dict(data: Any, where: str) -> CompositionNode:
+def _node_from_dict(data: Any, where: str, depth: int = 1) -> CompositionNode:
+    if depth > MAX_BODY_DEPTH:
+        raise ParseError(f"body nested deeper than {MAX_BODY_DEPTH} levels", where)
     if not isinstance(data, dict) or len(data) != 1:
         raise ParseError("node must be an object with exactly one key", where)
     (tag, payload), = data.items()
@@ -502,13 +519,13 @@ def _node_from_dict(data: Any, where: str) -> CompositionNode:
         if not isinstance(payload, list):
             raise ParseError(f"{tag} payload must be a list", where)
         children = tuple(
-            _node_from_dict(item, f"{where}/{i}") for i, item in enumerate(payload)
+            _node_from_dict(item, f"{where}/{i}", depth + 1) for i, item in enumerate(payload)
         )
         return Seq(children) if tag == "seq" else Par(children)
     if tag == "loop":
         _require_keys(payload, {"trip_count", "child"}, set(), where)
         trip = _parse_int(payload["trip_count"], f"{where}.trip_count")
-        return Loop(trip, _node_from_dict(payload["child"], f"{where}/child"))
+        return Loop(trip, _node_from_dict(payload["child"], f"{where}/child", depth + 1))
     raise ParseError(f"unknown node kind {tag!r}", where)
 
 

@@ -2,11 +2,12 @@
 
 A front is a list of (area, latency) points, area ascending and latency
 strictly descending: the non-dominated totals over every choice of variants.
-Fronts combine along ``Design.plan``. A kernel's front is its own variants
-plus its body's front; in a body ``Seq`` adds latencies, ``Par`` takes their
-maximum, ``Loop`` and ``Call`` scale them, and areas always add. Every step is
-monotone, so pruning dominated points loses no optimum, and the result is
-exact as long as each kernel is chosen, and its area counted, once.
+Fronts combine along the correct model's ``Design.plan``. A kernel's front is
+its own variants plus its body's front; in a body ``Seq`` adds latencies,
+``Par`` takes their maximum, ``Loop`` and ``Call`` scale them, and areas
+always add. Every step is monotone, so pruning dominated points loses no
+optimum, and the result is exact as long as each kernel is chosen, and its
+area counted, once.
 
 That holds for a kernel reached by one call path. Kernels reached by more
 than one (and so every kernel below one) are *shared*: they are branched on
@@ -31,7 +32,15 @@ from typing import Iterable, Optional
 
 from .design import ENUMERATION_CAP, Configuration, Design
 from .errors import CapExceeded
-from .latency import EvalResult, LatencyPlan, LinearForm, OracleReport, _run_plan, evaluate
+from .latency import (
+    EvalResult,
+    LatencyModelKind,
+    LatencyPlan,
+    LinearForm,
+    OracleReport,
+    _run_plan,
+    evaluate,
+)
 
 Point = tuple[int, int]
 Front = list[Point]
@@ -135,7 +144,7 @@ def compose_front(design: Design) -> DesignFront:
     kernels = design.kernels
     if not all(k.variants for k in kernels.values()):
         raise ValueError("design has a kernel with no variants; nothing to compose")
-    plan: LatencyPlan = design.plan
+    plan: LatencyPlan = design.plan(LatencyModelKind.CORRECT)
     paths = [0] * plan.size  # call paths from the top to each slot
     paths[plan.top] = 1
     for slot, _, forms in reversed(plan.steps):
@@ -177,7 +186,7 @@ def compose_front(design: Design) -> DesignFront:
 def _recover(design: Design, front: DesignFront, goal: int) -> Configuration:
     """The lexicographically smallest configuration at ``front.points[goal]``."""
     area_goal, latency_goal = front.points[goal]
-    kernels, plan = design.kernels, design.plan
+    kernels, plan = design.kernels, design.plan(LatencyModelKind.CORRECT)
     smallest = {kid: min(v.area_tenths for v in k.variants) for kid, k in kernels.items()}
     floor = sum(smallest.values())  # the least area left open by the choices so far
     # Any configuration at the point leaves every kernel within the slack.
@@ -223,7 +232,7 @@ def _recover(design: Design, front: DesignFront, goal: int) -> Configuration:
                 fastest[slot] = variant.latency
                 # Cheap bounds first: the least area and latency still open.
                 if (floor + variant.area_tenths - smallest[kid] > area_goal
-                        or _run_plan(plan, fastest, max) > latency_goal):
+                        or _run_plan(plan, fastest) > latency_goal):
                     continue
                 own[slot] = [(variant.area_tenths, variant.latency)]
                 kept = []

@@ -35,13 +35,7 @@ from .design import (
     direct_callees,
 )
 from .errors import RetriesExhausted
-from .latency import (
-    LatencyModelKind,
-    eval_area,
-    eval_faulty_latency_given,
-    par_node_values,
-    top_plus_max_peaks,
-)
+from .latency import LatencyModelKind, _run_plan, eval_area, par_node_values
 
 DEFAULT_MAX_RETRIES = 10
 
@@ -135,7 +129,6 @@ class IlpModel:
     objective: tuple[tuple[Union[int, Fraction], str], ...]
     latency_model: LatencyModelKind
     objective_spec: ObjectiveSpec
-    include_top_in_max: bool
     design: Design
     branch_order: tuple[str, ...]
 
@@ -174,7 +167,7 @@ class _ModelBuilder:
         self.variables.append(IlpVariable(var_id, VarKind.NONNEG_INT, AuxParMax(path)))
         return var_id
 
-    def latency_expr(self, kind: LatencyModelKind, include_top_in_max: bool) -> Expr:
+    def latency_expr(self, kind: LatencyModelKind) -> Expr:
         design = self.design
         if kind is LatencyModelKind.TOP_ONLY:
             return self._self_terms(design.top)
@@ -188,7 +181,7 @@ class _ModelBuilder:
         if kind is LatencyModelKind.CORRECT:
             return self._structural_expr(parallel_as_sum=False)
         if kind is LatencyModelKind.TOP_PLUS_MAX_CHILDREN:
-            return self._top_plus_max_expr(include_top_in_max)
+            return self._top_plus_max_expr()
         raise ValueError(f"unknown latency model {kind!r}")
 
     def _self_terms(self, kid: str) -> Expr:
@@ -234,7 +227,7 @@ class _ModelBuilder:
             kernel_exprs[kid] = expr
         return kernel_exprs[design.top]
 
-    def _top_plus_max_expr(self, include_top_in_max: bool) -> Expr:
+    def _top_plus_max_expr(self) -> Expr:
         design = self.design
         totals: dict[str, Expr] = {}
         for kid in design.order:
@@ -244,18 +237,12 @@ class _ModelBuilder:
                 totals[kid] = own
                 continue
             aux = self.add_aux(f"{kid}/children")
-            bounds = [totals[c] for c in children]
-            if include_top_in_max:
-                bounds.append(own)
-            for bound_expr in bounds:
-                terms = [(1, aux)] + [(-c, v) for v, c in sorted(bound_expr.items())]
+            for child in children:
+                terms = [(1, aux)] + [(-c, v) for v, c in sorted(totals[child].items())]
                 self.constraints.append(LinearConstraint(tuple(terms), ">=", 0))
-            if include_top_in_max:
-                totals[kid] = {aux: 1}
-            else:
-                expr: Expr = {aux: 1}
-                _scale_add(expr, own, 1)
-                totals[kid] = expr
+            expr: Expr = {aux: 1}
+            _scale_add(expr, own, 1)
+            totals[kid] = expr
         return totals[design.top]
 
 
@@ -263,7 +250,6 @@ def build_model(
     design: Design,
     objective: ObjectiveSpec,
     latency_model: LatencyModelKind = LatencyModelKind.CORRECT,
-    include_top_in_max: bool = False,
 ) -> IlpModel:
     """Lower a design plus objective into a declarative selection model."""
     builder = _ModelBuilder(design)
@@ -280,7 +266,7 @@ def build_model(
             terms.append((1, var_id))
         one_hots.append(LinearConstraint(tuple(terms), "=", 1))
 
-    latency_terms = builder.latency_expr(latency_model, include_top_in_max)
+    latency_terms = builder.latency_expr(latency_model)
     area_terms: Expr = {}
     for kid in sorted(design.kernels):
         for v in design.kernels[kid].variants:
@@ -325,18 +311,9 @@ def build_model(
         objective=tuple(objective_terms),
         latency_model=latency_model,
         objective_spec=objective,
-        include_top_in_max=include_top_in_max,
         design=design,
         branch_order=branch_order,
     )
-
-
-def _solution_aux_values(model: IlpModel, configuration: Configuration) -> dict[str, int]:
-    if model.latency_model is LatencyModelKind.CORRECT:
-        return par_node_values(model.design, configuration)
-    if model.latency_model is LatencyModelKind.TOP_PLUS_MAX_CHILDREN:
-        return top_plus_max_peaks(model.design, configuration, model.include_top_in_max)
-    return {}
 
 
 def _check_declarative(
@@ -344,7 +321,7 @@ def _check_declarative(
     configuration: Configuration,
     aux_values: dict[str, int],
     area_tenths: int,
-    objective_value: Fraction,
+    objective_value: Fraction | int,
 ) -> None:
     # The structured search and the declarative model are built independently
     # enough that cross-checking the winner against every constraint is a
@@ -395,6 +372,7 @@ def solve(model: IlpModel) -> IlpSolution:
     min_area = {kid: min(v.area_tenths for v in kernels[kid].variants) for kid in kernels}
     max_area = {kid: max(v.area_tenths for v in kernels[kid].variants) for kid in kernels}
 
+    plan, slots = design.plan(model.latency_model), design.order
     partial: dict[str, int] = {}
 
     def self_latency(kid: str) -> int:
@@ -402,12 +380,12 @@ def solve(model: IlpModel) -> IlpSolution:
         return min_latency[kid] if idx is None else kernels[kid].variants[idx].latency
 
     def latency_bound() -> int:
-        return eval_faulty_latency_given(
-            model.latency_model, design, self_latency, model.include_top_in_max
-        )
+        return _run_plan(plan, [self_latency(kid) for kid in slots])
 
+    # (objective, area, configuration): the objective stays an int under
+    # ConstrainedArea, so bounds compare without Fraction arithmetic.
     best_key: tuple | None = None
-    best: tuple[Configuration, int, int, Fraction] | None = None
+    best_latency = 0
 
     def bound() -> Fraction | int | None:
         area_lo = area_hi = 0
@@ -428,20 +406,17 @@ def solve(model: IlpModel) -> IlpSolution:
         return alpha * latency_bound() + distance_lb
 
     def visit(depth: int) -> None:
-        nonlocal best_key, best
+        nonlocal best_key, best_latency
         if depth == len(order):
             config = Configuration.from_mapping(partial)
             area = eval_area(design, config)
             if constrained and area > target:
                 return
             latency = latency_bound()  # exact: every kernel is chosen here
-            objective = (
-                Fraction(latency) if constrained else alpha * latency + abs(area - target)
-            )
+            objective = latency if constrained else alpha * latency + abs(area - target)
             key = (objective, area, config)
             if best_key is None or key < best_key:
-                best_key = key
-                best = (config, latency, area, objective)
+                best_key, best_latency = key, latency
             return
         kid = order[depth]
         for idx in range(len(kernels[kid].variants)):
@@ -455,7 +430,7 @@ def solve(model: IlpModel) -> IlpSolution:
 
     visit(0)
 
-    if best is None:
+    if best_key is None:
         return IlpSolution(
             status=SolveStatus.INFEASIBLE,
             configuration=None,
@@ -463,14 +438,14 @@ def solve(model: IlpModel) -> IlpSolution:
             predicted_latency=None,
             predicted_area_tenths=None,
         )
-    config, latency, area, objective = best
-    aux = _solution_aux_values(model, config)
+    objective, area, config = best_key
+    aux = par_node_values(design, config, model.latency_model)
     _check_declarative(model, config, aux, area, objective)
     return IlpSolution(
         status=SolveStatus.OPTIMAL,
         configuration=config,
-        objective=objective,
-        predicted_latency=latency,
+        objective=Fraction(objective),
+        predicted_latency=best_latency,
         predicted_area_tenths=area,
         aux_values=tuple(sorted(aux.items())),
     )
@@ -508,12 +483,7 @@ def retry_relax(
                 area_target_tenths=current.objective_spec.area_target_tenths,
             )
         target = relax_target(target, step_fraction)
-        current = build_model(
-            model.design,
-            ConstrainedArea(target),
-            model.latency_model,
-            model.include_top_in_max,
-        )
+        current = build_model(model.design, ConstrainedArea(target), model.latency_model)
     raise RetriesExhausted(max_retries, target)
 
 

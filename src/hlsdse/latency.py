@@ -14,7 +14,8 @@ formulations is provided. Each mirrors a plausible misreading of the
 composition semantics (ignoring everything but the top, ignoring structure,
 serializing parallel sections, or keeping only the slowest child), so
 optimizers can be driven with a wrong objective on purpose and their choices
-compared against ground truth.
+compared against ground truth. Every model, the correct one included, is
+lowered into a ``LatencyPlan`` and run by one interpreter.
 """
 
 from __future__ import annotations
@@ -66,15 +67,15 @@ LinearForm = tuple[tuple[int, int], ...]
 
 @dataclass(frozen=True)
 class LatencyPlan:
-    """A design's composition trees lowered once into slot arithmetic.
+    """One latency model of a design lowered once into slot arithmetic.
 
-    Slots ``0..n-1`` hold the kernels of ``Design.order``; every ``Par`` node
-    has one more slot. A kernel slot starts at the kernel's own latency. The
-    steps run in order, callees and inner ``Par`` nodes first. A step
-    ``(slot, None, (form,))`` adds a kernel's body form to its slot; a step
-    ``(slot, path, forms)`` sets a ``Par`` slot to the combine of its
-    children's forms, ``path`` being the node path ("<kid>/body/0/child").
-    Kernels without a body have no step. ``top`` is the top kernel's slot.
+    Slots ``0..n-1`` hold the kernels of ``Design.order``, each starting at
+    the kernel's own latency; max steps get one more slot each. The steps
+    run in order, callees and inner nodes first. A step ``(slot, None,
+    (form,))`` adds a form to its slot; a step ``(slot, path, forms)`` sets
+    its slot to the max of its forms, ``path`` naming the max node
+    ("<kid>/body/0/child" for a ``Par``, "<kid>/children" for a caller's
+    peak). ``top`` is the top kernel's slot.
     """
 
     size: int
@@ -82,11 +83,22 @@ class LatencyPlan:
     top: int
 
 
-def lower_latency_plan(design: Design) -> LatencyPlan:
-    """Lower every body: ``Seq`` adds forms, ``Loop`` and ``Call`` scale them."""
+def lower_latency_plan(
+    design: Design, kind: LatencyModelKind = LatencyModelKind.CORRECT
+) -> LatencyPlan:
+    """Lower one latency model of the design into a plan.
+
+    ``correct`` lowers every body: ``Seq`` adds forms, ``Loop`` and ``Call``
+    scale them, and each ``Par`` becomes a max step. ``sum-mult`` lowers
+    ``Par`` like ``Seq``. ``sum-all`` is one step adding every other kernel
+    to the top, ``top-only`` has no steps, and ``top-plus-max`` gives each
+    caller a max step over its callees, added to the caller.
+    """
     slot_of = {kid: i for i, kid in enumerate(design.order)}
     steps: list[tuple[int, str | None, tuple[LinearForm, ...]]] = []
     size = len(slot_of)
+    top = slot_of[design.top]
+    par_is_max = kind is LatencyModelKind.CORRECT
 
     def add(form: dict[int, int], other: dict[int, int], scale: int = 1) -> None:
         for slot, coef in other.items():
@@ -100,12 +112,7 @@ def lower_latency_plan(design: Design) -> LatencyPlan:
             form: dict[int, int] = {}
             add(form, lower(node.child, f"{path}/child"), node.trip_count)
             return form
-        if isinstance(node, Seq):
-            form = {}
-            for i, child in enumerate(node.children):
-                add(form, lower(child, f"{path}/{i}"))
-            return form
-        if isinstance(node, Par):
+        if isinstance(node, Par) and par_is_max:
             forms = tuple(
                 tuple(lower(child, f"{path}/{i}").items())
                 for i, child in enumerate(node.children)
@@ -113,25 +120,40 @@ def lower_latency_plan(design: Design) -> LatencyPlan:
             slot, size = size, size + 1
             steps.append((slot, path, forms))
             return {slot: 1}
+        if isinstance(node, (Seq, Par)):
+            form = {}
+            for i, child in enumerate(node.children):
+                add(form, lower(child, f"{path}/{i}"))
+            return form
         raise TypeError(f"not a composition node: {node!r}")
 
-    for kid in design.order:
-        body = design.kernels[kid].body
-        if body is not None:
-            steps.append((slot_of[kid], None, (tuple(lower(body, f"{kid}/body").items()),)))
-    return LatencyPlan(size=size, steps=tuple(steps), top=slot_of[design.top])
+    if kind in (LatencyModelKind.CORRECT, LatencyModelKind.SUM_WITH_MULTIPLIERS):
+        for kid in design.order:
+            body = design.kernels[kid].body
+            if body is not None:
+                steps.append((slot_of[kid], None, (tuple(lower(body, f"{kid}/body").items()),)))
+    elif kind is LatencyModelKind.SUM_ALL:
+        steps.append((top, None, (tuple((s, 1) for s in range(size) if s != top),)))
+    elif kind is LatencyModelKind.TOP_PLUS_MAX_CHILDREN:
+        # One "slowest child" chain per level: every other callee is dropped.
+        for kid in design.order:
+            callees = direct_callees(design.kernels[kid])
+            if callees:
+                steps.append((size, f"{kid}/children", tuple(((slot_of[c], 1),) for c in callees)))
+                steps.append((slot_of[kid], None, (((size, 1),),)))
+                size += 1
+    elif kind is not LatencyModelKind.TOP_ONLY:
+        raise UnsupportedModel(f"unknown latency model {kind!r}")
+    return LatencyPlan(size=size, steps=tuple(steps), top=top)
 
 
 def _run_plan(
-    plan: LatencyPlan,
-    own: list[int],
-    par_combine: Callable[[list[int]], int],
-    par_values: dict[str, int] | None = None,
+    plan: LatencyPlan, own: list[int], max_values: dict[str, int] | None = None
 ) -> int:
     """The top kernel's total, given every kernel's own latency in slot order.
 
-    ``Par`` slots take ``par_combine`` of their children's forms; when
-    ``par_values`` is given it receives each ``Par`` value under its path.
+    When ``max_values`` is given it receives each max step's value under its
+    path.
     """
     values = own + [0] * (plan.size - len(own))
     # Plain loops: the forms are a few terms long, and a comprehension per
@@ -146,52 +168,16 @@ def _run_plan(
         if path is None:
             values[slot] += parts[0]
             continue
-        value = par_combine(parts)
+        value = max(parts)
         values[slot] = value
-        if par_values is not None:
-            par_values[path] = value
+        if max_values is not None:
+            max_values[path] = value
     return values[plan.top]
 
 
-def _fold(
-    design: Design,
-    self_latency: SelfLatency,
-    par_combine: Callable[[list[int]], int],
-    par_values: dict[str, int] | None = None,
-) -> int:
-    """Self-latency plus body for every kernel; returns the top kernel's.
-
-    ``Seq`` adds, ``Par`` applies ``par_combine``, ``Loop`` and ``Call`` scale.
-    """
-    own = [self_latency(kid) for kid in design.order]
-    return _run_plan(design.plan, own, par_combine, par_values)
-
-
-def _top_plus_max(
-    design: Design,
-    self_latency: SelfLatency,
-    include_top: bool,
-    peaks: dict[str, int] | None = None,
-) -> int:
-    # Keeps only one level-by-level "slowest child" chain over the call graph;
-    # every sibling's contribution except the largest is dropped. ``peaks``
-    # receives each caller's max under "<kid>/children".
-    totals: dict[str, int] = {}
-    for kid in design.order:
-        own = self_latency(kid)
-        children = direct_callees(design.kernels[kid])
-        peak = max((totals[c] for c in children), default=0)
-        if include_top:
-            peak = max(peak, own)
-        totals[kid] = peak if include_top else own + peak
-        if peaks is not None and children:
-            peaks[f"{kid}/children"] = peak
-    return totals[design.top]
-
-
-def _variant_latency(design: Design, index: dict[str, int]) -> SelfLatency:
+def _own_latencies(design: Design, index: dict[str, int]) -> list[int]:
     kernels = design.kernels
-    return lambda kid: kernels[kid].variants[index[kid]].latency
+    return [kernels[kid].variants[index[kid]].latency for kid in design.order]
 
 
 def _area_given(design: Design, index: dict[str, int]) -> int:
@@ -200,44 +186,26 @@ def _area_given(design: Design, index: dict[str, int]) -> int:
 
 def eval_latency_given(design: Design, self_latency: SelfLatency) -> int:
     """Correct latency with per-kernel self-latencies supplied by a callable."""
-    return _fold(design, self_latency, max)
+    return eval_faulty_latency_given(LatencyModelKind.CORRECT, design, self_latency)
 
 
 def eval_faulty_latency_given(
-    kind: LatencyModelKind,
-    design: Design,
-    self_latency: SelfLatency,
-    include_top_in_max: bool = False,
+    kind: LatencyModelKind, design: Design, self_latency: SelfLatency
 ) -> int:
-    if kind is LatencyModelKind.CORRECT:
-        return _fold(design, self_latency, max)
-    if kind is LatencyModelKind.TOP_ONLY:
-        return self_latency(design.top)
-    if kind is LatencyModelKind.SUM_ALL:
-        return sum(self_latency(kid) for kid in sorted(design.kernels))
-    if kind is LatencyModelKind.SUM_WITH_MULTIPLIERS:
-        # Parallel children summed: the composition run as sequential software.
-        return _fold(design, self_latency, sum)
-    if kind is LatencyModelKind.TOP_PLUS_MAX_CHILDREN:
-        return _top_plus_max(design, self_latency, include_top_in_max)
-    raise UnsupportedModel(f"unknown latency model {kind!r}")
+    """Latency under one model, with self-latencies supplied by a callable."""
+    return _run_plan(design.plan(kind), [self_latency(kid) for kid in design.order])
 
 
 def eval_latency(design: Design, configuration: Configuration) -> int:
     """Correct system latency of the design under the given configuration."""
-    return _fold(design, _variant_latency(design, configuration.as_dict()), max)
+    return eval_faulty_latency(LatencyModelKind.CORRECT, design, configuration)
 
 
 def eval_faulty_latency(
-    kind: LatencyModelKind,
-    design: Design,
-    configuration: Configuration,
-    include_top_in_max: bool = False,
+    kind: LatencyModelKind, design: Design, configuration: Configuration
 ) -> int:
-    """Latency as predicted by one of the approximate models."""
-    return eval_faulty_latency_given(
-        kind, design, _variant_latency(design, configuration.as_dict()), include_top_in_max
-    )
+    """Latency as predicted by one of the models."""
+    return _run_plan(design.plan(kind), _own_latencies(design, configuration.as_dict()))
 
 
 def eval_area(design: Design, configuration: Configuration) -> int:
@@ -248,27 +216,25 @@ def eval_area(design: Design, configuration: Configuration) -> int:
 def evaluate(design: Design, configuration: Configuration) -> EvalResult:
     index = configuration.as_dict()
     return EvalResult(
-        latency=_fold(design, _variant_latency(design, index), max),
+        latency=_run_plan(design.plan(LatencyModelKind.CORRECT), _own_latencies(design, index)),
         area_tenths=_area_given(design, index),
     )
 
 
-def par_node_values(design: Design, configuration: Configuration) -> dict[str, int]:
-    """Realized value (max over children) of every Par node, keyed by node path."""
-    values: dict[str, int] = {}
-    _fold(design, _variant_latency(design, configuration.as_dict()), max, values)
-    return values
-
-
-def top_plus_max_peaks(
-    design: Design, configuration: Configuration, include_top: bool
+def par_node_values(
+    design: Design,
+    configuration: Configuration,
+    kind: LatencyModelKind = LatencyModelKind.CORRECT,
 ) -> dict[str, int]:
-    """The top-plus-max model's per-caller maxima, keyed "<kid>/children"."""
-    peaks: dict[str, int] = {}
-    _top_plus_max(
-        design, _variant_latency(design, configuration.as_dict()), include_top, peaks
-    )
-    return peaks
+    """Value of every max step of the model's plan, keyed by path.
+
+    These are each ``Par`` node's realized max under ``correct`` and each
+    caller's "<kid>/children" peak under ``top-plus-max``; the other models
+    have none.
+    """
+    values: dict[str, int] = {}
+    _run_plan(design.plan(kind), _own_latencies(design, configuration.as_dict()), values)
+    return values
 
 
 @dataclass(frozen=True)
@@ -299,7 +265,7 @@ def brute_force_optimum(
     slots = [
         (position[kid], [v.latency for v in kernels[kid].variants]) for kid in design.order
     ]
-    plan = design.plan
+    plan = design.plan(LatencyModelKind.CORRECT)
 
     best_feasible_key: tuple[int, int] | None = None
     best_feasible_combo: tuple[int, ...] | None = None
@@ -307,7 +273,7 @@ def brute_force_optimum(
     min_area_combo: tuple[int, ...] = ()
     for combo in combos:
         area = sum([table[i] for table, i in zip(areas, combo)])
-        latency = _run_plan(plan, [table[combo[p]] for p, table in slots], max)
+        latency = _run_plan(plan, [table[combo[p]] for p, table in slots])
         area_key = (area, latency)
         if min_area_key is None or area_key < min_area_key:
             min_area_key, min_area_combo = area_key, combo

@@ -1,5 +1,5 @@
 """Shared test utilities: seeded generators for random designs, and plain
-reference implementations of evaluation and the enumeration oracle.
+reference implementations of every latency model and the enumeration oracle.
 
 Generated designs are always structurally valid: acyclic call graphs where
 every kernel is reachable from the top, bodies that are well-formed
@@ -10,7 +10,7 @@ area/latency trade-offs (ascending area, descending latency).
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional
+from typing import Optional
 
 from hlsdse.design import (
     Call,
@@ -25,6 +25,7 @@ from hlsdse.design import (
     Seq,
     enumerate_configurations,
 )
+from hlsdse.latency import LatencyModelKind
 
 _SOURCE = KernelSource(
     trip_count=0, body_latency=1, op_count=1, base_area_tenths=0, op_area_tenths=0
@@ -120,22 +121,47 @@ def random_configuration(rng: random.Random, design: Design) -> Configuration:
 def reference_latency(
     design: Design,
     configuration: Configuration,
-    par_combine: Callable[[list[int]], int] = max,
-    par_values: Optional[dict[str, int]] = None,
+    kind: LatencyModelKind = LatencyModelKind.CORRECT,
+    max_values: Optional[dict[str, int]] = None,
 ) -> int:
-    """Recursive fold straight over the composition trees, each kernel once.
+    """Every latency model straight from its definition, recursively.
 
-    ``par_combine=max`` is the correct model, ``sum`` the ``sum-mult`` one;
-    ``par_values`` receives every ``Par`` value under its node path.
+    ``correct`` folds the composition trees (``Seq`` adds, ``Par`` takes the
+    max, ``Loop`` and ``Call`` scale), and ``sum-mult`` folds them with
+    ``Par`` added. ``sum-all`` adds every kernel's own latency, ``top-only``
+    is the top's own latency, and ``top-plus-max`` adds to each kernel the
+    largest total among the kernels its body calls. ``max_values`` receives
+    every max taken: each ``Par`` under its node path, or each caller's
+    largest callee under "<kid>/children".
     """
     index = configuration.as_dict()
+
+    def own(kid: str) -> int:
+        return design.kernels[kid].variants[index[kid]].latency
+
+    if kind is LatencyModelKind.TOP_ONLY:
+        return own(design.top)
+    if kind is LatencyModelKind.SUM_ALL:
+        return sum(own(kid) for kid in design.kernels)
     totals: dict[str, int] = {}
+
+    def called(n: CompositionNode) -> set[str]:
+        if isinstance(n, Call):
+            return {n.kernel}
+        if isinstance(n, Loop):
+            return called(n.child)
+        return set().union(*(called(child) for child in n.children))
 
     def total(kid: str) -> int:
         if kid not in totals:
-            kernel = design.kernels[kid]
-            body = 0 if kernel.body is None else node(kernel.body, f"{kid}/body")
-            totals[kid] = kernel.variants[index[kid]].latency + body
+            body, extra = design.kernels[kid].body, 0
+            if body is not None and kind is LatencyModelKind.TOP_PLUS_MAX_CHILDREN:
+                extra = max(total(callee) for callee in called(body))
+                if max_values is not None:
+                    max_values[f"{kid}/children"] = extra
+            elif body is not None:
+                extra = node(body, f"{kid}/body")
+            totals[kid] = own(kid) + extra
         return totals[kid]
 
     def node(n: CompositionNode, path: str) -> int:
@@ -144,14 +170,15 @@ def reference_latency(
         if isinstance(n, Loop):
             return n.trip_count * node(n.child, f"{path}/child")
         values = [node(child, f"{path}/{i}") for i, child in enumerate(n.children)]
-        if isinstance(n, Seq):
+        if isinstance(n, Seq) or kind is LatencyModelKind.SUM_WITH_MULTIPLIERS:
             return sum(values)
-        value = par_combine(values)
-        if par_values is not None:
-            par_values[path] = value
-        return value
+        if max_values is not None:
+            max_values[path] = max(values)
+        return max(values)
 
-    return total(design.top)
+    for kid in sorted(design.kernels):
+        total(kid)
+    return totals[design.top]
 
 
 def reference_oracle(design: Design, area_target_tenths: int) -> tuple:

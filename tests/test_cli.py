@@ -8,10 +8,12 @@ import textwrap
 
 import pytest
 
-from hlsdse import cli
+from hlsdse import bench, cli
 from hlsdse.agent import ExternalPolicy
-from hlsdse.bench import builtin_names
+from hlsdse.bench import benchmark_to_dict, builtin, builtin_names
 from hlsdse.cli import main
+from hlsdse.design import MAX_BODY_DEPTH
+from hlsdse.errors import ParseError
 
 
 def test_no_arguments_is_a_usage_error(capsys):
@@ -98,6 +100,36 @@ def test_run_rejects_bad_flags(tmp_path, capsys):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
+
+
+def nested_syn1(path, depth: int):
+    """SYN1 with a top body ``depth`` levels deep: ``par`` levels around the
+    call to B, each also calling A (a ``par`` recurses the most per level)."""
+    data = benchmark_to_dict(builtin("SYN1"))
+    node = {"call": {"kernel": "B"}}
+    for _ in range(depth - 1):
+        node = {"par": [node, {"call": {"kernel": "A"}}]}
+    data["kernels"][0]["body"] = node
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_a_body_at_the_depth_bound_runs_and_solves(tmp_path, capsys):
+    deep = nested_syn1(tmp_path / "deep.json", MAX_BODY_DEPTH)
+    out = tmp_path / "reports"
+    assert main(["run", "--benchmark", str(deep), "--reps", "1", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and all(": success 1/1," in line for line in lines[:3])
+    assert main(["solve", "--benchmark", str(deep)]) == 0
+    assert "match: yes" in capsys.readouterr().out
+
+
+def test_a_body_past_the_depth_bound_is_a_parse_error(tmp_path, capsys):
+    deep = nested_syn1(tmp_path / "deep.json", MAX_BODY_DEPTH + 1)
+    with pytest.raises(ParseError, match="nested deeper than"):
+        bench.load(deep)
+    assert main(["run", "--benchmark", str(deep), "--reps", "1", "--out", str(tmp_path)]) == 2
+    assert "ParseError" in capsys.readouterr().err
 
 
 def test_run_drives_an_external_policy(tmp_path, capsys, monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 
 from helpers import random_design
 from hlsdse.design import (
+    MAX_BODY_DEPTH,
     BadVariant,
     Call,
     Configuration,
@@ -414,6 +415,24 @@ def test_loads_design_turns_deep_nesting_into_a_parse_error():
     deep = '{"seq": [' * 2000 + json.dumps({"call": {"kernel": callee}}) + "]}" * 2000
     with pytest.raises(ParseError, match="nested too deeply"):
         loads_design(json.dumps(data).replace('"DEEP"', deep))
+
+
+def test_loads_design_bounds_the_body_depth():
+    def nested(depth: int) -> str:
+        """two_kernel_design with a body ``depth`` levels deep: ``par`` levels
+        around the call to A, each also calling A."""
+        data = design_to_dict(two_kernel_design())
+        node = {"call": {"kernel": "A"}}
+        for _ in range(depth - 1):
+            node = {"par": [node, {"call": {"kernel": "A"}}]}
+        data["kernels"][0]["body"] = node
+        return json.dumps(data)
+
+    design = loads_design(nested(MAX_BODY_DEPTH))
+    assert validate(design) == []
+    with pytest.raises(ParseError, match="nested deeper than 256 levels") as info:
+        loads_design(nested(MAX_BODY_DEPTH + 1))
+    assert info.value.where == "top/body" + "/0" * MAX_BODY_DEPTH
 
 
 def test_random_design_json_round_trip():

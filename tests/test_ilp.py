@@ -45,7 +45,6 @@ from hlsdse.latency import (
     eval_faulty_latency,
     evaluate,
     par_node_values,
-    top_plus_max_peaks,
 )
 
 SOURCE = KernelSource(0, 1, 1, 0, 0)
@@ -141,13 +140,9 @@ def test_order_and_aux_values_agree_with_the_model(seed):
     position = {kid: i for i, kid in enumerate(design.order)}
     for kid, kernel in design.kernels.items():
         assert all(position[callee] < position[kid] for callee in direct_callees(kernel))
-    correct = build_model(design, ConstrainedArea(0))
-    assert set(par_node_values(design, config)) == aux_paths(correct)
-    for include_top in (False, True):
-        tpm = build_model(
-            design, ConstrainedArea(0), LatencyModelKind.TOP_PLUS_MAX_CHILDREN, include_top
-        )
-        assert set(top_plus_max_peaks(design, config, include_top)) == aux_paths(tpm)
+    for kind in LatencyModelKind:
+        model = build_model(design, ConstrainedArea(0), kind)
+        assert set(par_node_values(design, config, kind)) == aux_paths(model)
 
 
 def test_lagrangian_model_adds_slack_pair():
@@ -285,13 +280,13 @@ def test_sum_objective_prefers_the_bigger_drop_and_loses():
     assert evaluate(design, informed.configuration).latency == 35
 
 
-def _enumeration_best(design, kind, target, include_top=False):
+def _enumeration_best(design, kind, target):
     best = None
     for config in enumerate_configurations(design):
         area = eval_area(design, config)
         if area > target:
             continue
-        latency = eval_faulty_latency(kind, design, config, include_top)
+        latency = eval_faulty_latency(kind, design, config)
         key = (latency, area, config)
         if best is None or key < best:
             best = key
@@ -320,34 +315,6 @@ def test_every_model_kind_matches_its_own_enumeration_optimum(kind):
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.predicted_latency == expected[0]
         assert solution.configuration == expected[2]
-
-
-def test_top_plus_max_include_top_changes_the_prediction():
-    design = parallel_pair_design()
-    with_top = solve(
-        build_model(
-            design,
-            ConstrainedArea(10000),
-            LatencyModelKind.TOP_PLUS_MAX_CHILDREN,
-            include_top_in_max=True,
-        )
-    )
-    without = solve(
-        build_model(
-            design,
-            ConstrainedArea(10000),
-            LatencyModelKind.TOP_PLUS_MAX_CHILDREN,
-            include_top_in_max=False,
-        )
-    )
-    for solution, include in ((with_top, True), (without, False)):
-        assert solution.predicted_latency == eval_faulty_latency(
-            LatencyModelKind.TOP_PLUS_MAX_CHILDREN,
-            design,
-            solution.configuration,
-            include,
-        )
-    assert without.predicted_latency > with_top.predicted_latency
 
 
 def test_solver_matches_brute_force_on_random_designs():

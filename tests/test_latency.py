@@ -26,7 +26,7 @@ from hlsdse.design import (
     par,
     seq,
 )
-from hlsdse.errors import CapExceeded
+from hlsdse.errors import CapExceeded, UnsupportedModel
 from hlsdse.latency import (
     EvalResult,
     LatencyModelKind,
@@ -146,7 +146,38 @@ def test_latency_plan_lowers_bodies_to_linear_forms():
         (3, "top/body/1/child", (((1, 1),), ((0, 1), (1, 1)))),
         (2, None, (((0, 3), (3, 3)),)),
     )
-    assert design.plan == plan
+    assert design.plan(LatencyModelKind.CORRECT) == plan
+
+
+def test_each_model_lowers_to_a_plan():
+    design = fork_join_design()
+    assert design.order == ("left", "right", "tail", "top")
+
+    def steps(kind):
+        return lower_latency_plan(design, kind).steps
+
+    assert steps(LatencyModelKind.TOP_ONLY) == ()
+    assert steps(LatencyModelKind.SUM_ALL) == ((3, None, (((0, 1), (1, 1), (2, 1)),)),)
+    # sum-mult lowers the Par like a Seq, so the body is one form.
+    assert steps(LatencyModelKind.SUM_WITH_MULTIPLIERS) == (
+        (3, None, (((0, 1), (1, 1), (2, 2)),)),
+    )
+    # top-plus-max: one max over the callees in slot 4, added to the caller.
+    assert steps(LatencyModelKind.TOP_PLUS_MAX_CHILDREN) == (
+        (4, "top/children", (((0, 1),), ((1, 1),), ((2, 1),))),
+        (3, None, (((4, 1),),)),
+    )
+    with pytest.raises(UnsupportedModel):
+        lower_latency_plan(design, "no-such-model")
+
+
+def test_plans_are_lowered_once_per_model_on_first_use():
+    design = fork_join_design()
+    evaluate(design, fork_join_config())
+    assert set(design._plans) == {LatencyModelKind.CORRECT}
+    plan = design.plan(LatencyModelKind.TOP_ONLY)
+    assert design.plan(LatencyModelKind.TOP_ONLY) is plan
+    assert set(design._plans) == {LatencyModelKind.CORRECT, LatencyModelKind.TOP_ONLY}
 
 
 def test_area_counts_each_kernel_once():
@@ -169,15 +200,14 @@ def test_model_catalog_on_fork_join():
     design = fork_join_design(top=5, left=7, right=9, tail=4)
     config = fork_join_config()
 
-    def predicted(kind, include_top=False):
-        return eval_faulty_latency(kind, design, config, include_top)
+    def predicted(kind):
+        return eval_faulty_latency(kind, design, config)
 
     assert predicted(LatencyModelKind.CORRECT) == 22
     assert predicted(LatencyModelKind.TOP_ONLY) == 5
     assert predicted(LatencyModelKind.SUM_ALL) == 25
     assert predicted(LatencyModelKind.SUM_WITH_MULTIPLIERS) == 5 + (7 + 9) + 2 * 4
     assert predicted(LatencyModelKind.TOP_PLUS_MAX_CHILDREN) == 5 + 9
-    assert predicted(LatencyModelKind.TOP_PLUS_MAX_CHILDREN, include_top=True) == 9
 
 
 def test_correct_model_matches_eval_latency():
@@ -231,6 +261,9 @@ def test_par_node_values_report_realized_maxima():
     design = fork_join_design(top=5, left=7, right=9, tail=4)
     values = par_node_values(design, fork_join_config())
     assert values == {"top/body/0": 9}
+    peaks = par_node_values(design, fork_join_config(), LatencyModelKind.TOP_PLUS_MAX_CHILDREN)
+    assert peaks == {"top/children": 9}
+    assert par_node_values(design, fork_join_config(), LatencyModelKind.SUM_ALL) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +359,12 @@ def test_plan_and_oracle_agree_with_the_reference(seed):
     assert configuration_count(design) <= 2000
     for _ in range(3):
         config = random_configuration(rng, design)
-        expected_pars: dict[str, int] = {}
-        latency = reference_latency(design, config, max, expected_pars)
-        assert evaluate(design, config).latency == latency
-        assert par_node_values(design, config) == expected_pars
-        assert eval_faulty_latency(
-            LatencyModelKind.SUM_WITH_MULTIPLIERS, design, config
-        ) == reference_latency(design, config, sum)
+        assert evaluate(design, config).latency == reference_latency(design, config)
+        for kind in LatencyModelKind:
+            expected_maxima: dict[str, int] = {}
+            latency = reference_latency(design, config, kind, expected_maxima)
+            assert eval_faulty_latency(kind, design, config) == latency
+            assert par_node_values(design, config, kind) == expected_maxima
 
     def areas(pick) -> int:
         return sum(pick(v.area_tenths for v in k.variants) for k in design.kernels.values())
