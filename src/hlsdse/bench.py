@@ -308,6 +308,8 @@ def load(path: str | Path) -> Benchmark:
         raise ParseError(f"invalid JSON: {exc}", where=str(path)) from None
     except RecursionError:  # the decoder's own, or the node parser's
         raise ParseError("benchmark nested too deeply", where=str(path)) from None
+    except ParseError as exc:
+        raise ParseError(str(exc), where=str(path)) from None
 
 
 def save(benchmark: Benchmark, path: str | Path) -> None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Any, Iterator, Mapping, Union
@@ -55,7 +56,7 @@ def tenths_to_area(tenths: int) -> float:
     return tenths / 10.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PragmaConfig:
     """Synthesis directives applied to one kernel: unroll factor and pipelining.
 
@@ -70,7 +71,11 @@ class PragmaConfig:
         return self.ii is not None
 
 
-@dataclass(frozen=True)
+DEFAULT_PRAGMA = PragmaConfig()
+"""No unrolling, no pipelining: one instance shared by every variant that has it."""
+
+
+@dataclass(frozen=True, slots=True)
 class KernelSource:
     """Abstract cost descriptor standing in for a kernel's source code.
 
@@ -87,21 +92,21 @@ class KernelSource:
     op_area_tenths: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KernelVariant:
     """One point on a kernel's area/latency trade-off curve."""
 
     index: int
     area_tenths: int
     latency: int
-    pragma: PragmaConfig = PragmaConfig()
+    pragma: PragmaConfig = DEFAULT_PRAGMA
 
     @property
     def area(self) -> float:
         return tenths_to_area(self.area_tenths)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Call:
     """Invocation of another kernel, ``multiplicity`` times in sequence."""
 
@@ -109,19 +114,19 @@ class Call:
     multiplicity: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Seq:
     children: tuple["CompositionNode", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Par:
     """Children execute concurrently; requires at least two children."""
 
     children: tuple["CompositionNode", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Loop:
     trip_count: int
     child: "CompositionNode"
@@ -146,7 +151,7 @@ def loop(trip_count: int, child: CompositionNode) -> Loop:
     return Loop(trip_count, child)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Kernel:
     """A kernel with its source descriptor, variants, and optional body.
 
@@ -190,11 +195,18 @@ class Design:
         return plan
 
     @cached_property
-    def front(self) -> "DesignFront":
-        """``front.compose_front(self)``, computed once per design."""
-        from .front import compose_front
+    def _fronts(self) -> dict["LatencyModelKind", "DesignFront"]:
+        return {}
 
-        return compose_front(self)
+    def front(self, kind: "LatencyModelKind") -> "DesignFront":
+        """``front.compose_front(self, kind)``, composed on first use and
+        kept once per design and model."""
+        front = self._fronts.get(kind)
+        if front is None:
+            from .front import compose_front
+
+            front = self._fronts[kind] = compose_front(self, kind)
+        return front
 
     def with_variants(self, options: Mapping[str, tuple[KernelVariant, ...]]) -> "Design":
         """Return a copy with the given variant lists installed per kernel."""
@@ -205,7 +217,7 @@ class Design:
         return Design(kernels=kernels, top=self.top)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Configuration:
     """One selected variant index per kernel, kept sorted by kernel id.
 
@@ -514,7 +526,7 @@ def _node_from_dict(data: Any, where: str, depth: int = 1) -> CompositionNode:
         if not isinstance(payload["kernel"], str):
             raise ParseError("kernel id must be a string", where)
         mult = _parse_int(payload.get("multiplicity", 1), f"{where}.multiplicity")
-        return Call(payload["kernel"], mult)
+        return Call(sys.intern(payload["kernel"]), mult)
     if tag in ("seq", "par"):
         if not isinstance(payload, list):
             raise ParseError(f"{tag} payload must be a list", where)
@@ -547,6 +559,8 @@ def _pragma_from_dict(data: Any, where: str) -> PragmaConfig:
     ii = data["ii"]
     if ii is not None:
         ii = _parse_int(ii, f"{where}.ii", minimum=1)
+    if unroll == 1 and ii is None:
+        return DEFAULT_PRAGMA
     return PragmaConfig(unroll=unroll, ii=ii)
 
 
@@ -568,6 +582,7 @@ def _kernel_from_dict(data: Any, where: str) -> Kernel:
     kid = data["id"]
     if not isinstance(kid, str) or not kid:
         raise ParseError("kernel id must be a non-empty string", where)
+    kid = sys.intern(kid)  # ids recur in calls and in every design parsed: one string each
     if not isinstance(data["variants"], list):
         raise ParseError("variants must be a list", f"{where}.variants")
     variants = []
@@ -583,7 +598,7 @@ def _kernel_from_dict(data: Any, where: str) -> Kernel:
             )
         )
     body = data.get("body")
-    node = None if body is None else _node_from_dict(body, f"{kid}/body")
+    node = None if body is None else _node_from_dict(body, f"{where}:{kid}/body")
     return Kernel(
         id=kid,
         source=_source_from_dict(data["source"], f"{where}.source"),

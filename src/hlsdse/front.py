@@ -1,20 +1,29 @@
-"""Composed (area, latency) Pareto fronts, and the oracle read off them.
+"""Composed (area, latency) Pareto fronts, the oracle read off them, and the
+area-capped optimum under any latency model.
 
 A front is a list of (area, latency) points, area ascending and latency
 strictly descending: the non-dominated totals over every choice of variants.
-Fronts combine along the correct model's ``Design.plan``. A kernel's front is
-its own variants plus its body's front; in a body ``Seq`` adds latencies,
-``Par`` takes their maximum, ``Loop`` and ``Call`` scale them, and areas
-always add. Every step is monotone, so pruning dominated points loses no
-optimum, and the result is exact as long as each kernel is chosen, and its
-area counted, once.
+Fronts combine along one latency model's ``Design.plan(kind)``. A kernel's
+front is its own variants plus what its plan step adds; in a correct body
+``Seq`` adds latencies, ``Par`` takes their maximum, ``Loop`` and ``Call``
+scale them, and areas always add (the other models are plans of the same
+two step kinds). Every step is monotone, so pruning dominated points loses
+no optimum, and the result is exact as long as each kernel is chosen, and
+its area counted, once.
 
-That holds for a kernel reached by one call path. Kernels reached by more
-than one (and so every kernel below one) are *shared*: they are branched on
-outside the combination. Each branch, one combination of their variants,
-turns them into single points of area 0 and adds their areas once to the
-branch's top front. The design's front is the union of the branch fronts,
-pruned. Kernels the top never reaches add their smallest area.
+That holds for a kernel the plan reaches along one path. Kernels reached
+along more than one (and so every kernel below one) are *shared*: they are
+branched on outside the combination, depth first in sorted id order. A
+branch, one variant per shared kernel, turns them into single points of area
+0 and adds their areas once to the branch's top front. The design's front is
+the union of the branch fronts, pruned. Kernels the top never reaches add
+their smallest area.
+
+Under an area target the search skips a subtree whose relaxed front cannot
+reach the best point found so far. The relaxation turns every shared kernel
+not yet branched on into the point (area 0, its least latency) and adds its
+least area once: each step is monotone, so this front dominates every
+branch below the node.
 
 This is the compositional exploration of Liu, Petracca & Carloni
 ("Compositional System-Level Design Exploration with Planning of High-Level
@@ -26,7 +35,7 @@ point. Only fronts that read the fixed kernel are recomputed.
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -35,7 +44,6 @@ from .errors import CapExceeded
 from .latency import (
     EvalResult,
     LatencyModelKind,
-    LatencyPlan,
     LinearForm,
     OracleReport,
     _run_plan,
@@ -45,6 +53,13 @@ from .latency import (
 Point = tuple[int, int]
 Front = list[Point]
 Step = tuple[int, Optional[str], tuple[LinearForm, ...]]
+
+CHUNK_PAIRS = 1 << 14
+"""Pairs ``_add`` builds and sorts at once before merging them into its front.
+
+A bounded chunk keeps the peak memory of a sum small and lets a signal
+handler run between chunks instead of after one long sort.
+"""
 
 
 def _prune(points: Iterable[Point]) -> Front:
@@ -58,7 +73,12 @@ def _prune(points: Iterable[Point]) -> Front:
 
 def _add(left: Front, right: Front, coef: int = 1) -> Front:
     """Every pair: areas add, latencies add, the right one scaled by ``coef``."""
-    return _prune([(a + b, p + coef * q) for a, p in left for b, q in right])
+    rows = max(1, CHUNK_PAIRS // len(right))
+    front: Front = []
+    for start in range(0, len(left), rows):
+        chunk = [(a + b, p + coef * q) for a, p in left[start:start + rows] for b, q in right]
+        front = _prune(front + chunk)
+    return front
 
 
 def _par(fronts: list[Front]) -> Front:
@@ -96,19 +116,22 @@ def _run(steps: tuple[Step, ...], own: list[Front], values: list, changed: Optio
 
 @dataclass(frozen=True)
 class DesignFront:
-    """``Design.front``: the design's top front and what recovery reads.
+    """A design's top front under one latency model, and what recovery reads.
 
     ``points`` ascend in area. ``sources[i]`` lists the branches reaching
     ``points[i]``, each as the variant indices of the ``shared`` kernels.
     ``steps`` are the plan's steps the top reaches; ``loose`` are the
-    kernels it does not reach.
+    kernels it does not reach. ``branches`` counts the branches searched to
+    the end: all of them for ``Design.front``, fewer under a target.
     """
 
+    kind: LatencyModelKind
     points: tuple[Point, ...]
     sources: tuple[tuple[tuple[int, ...], ...], ...]
     shared: tuple[str, ...]
     loose: tuple[str, ...]
     steps: tuple[Step, ...]
+    branches: int
 
 
 def _own_fronts(design: Design, allowed: dict[str, list[int]]) -> list[Front]:
@@ -121,31 +144,28 @@ def _own_fronts(design: Design, allowed: dict[str, list[int]]) -> list[Front]:
 
 
 def _fix_shared(design: Design, shared: list[tuple[str, int]], combo: tuple[int, ...],
-                own: list[Front], values: list) -> tuple[set, int]:
+                own: list[Front], values: list) -> int:
     """Make each shared (kernel, slot) the single point ``combo`` picks;
-    returns the changed slots and the shared kernels' area."""
-    changed, area = set(), 0
+    returns the shared kernels' area."""
+    area = 0
     for (kid, slot), index in zip(shared, combo):
         variant = design.kernels[kid].variants[index]
-        point = [(0, variant.latency)]
-        if own[slot] != point:
-            own[slot] = values[slot] = point
-            changed.add(slot)
+        own[slot] = values[slot] = [(0, variant.latency)]
         area += variant.area_tenths
-    return changed, area
+    return area
 
 
-def compose_front(design: Design) -> DesignFront:
-    """The design's (area, latency) front under the correct model.
+def _compose(design: Design, kind: LatencyModelKind, target: Optional[int]) -> DesignFront:
+    """The front of every branch, or under ``target`` the best point within it.
 
-    Raises ValueError if a kernel has no variants and CapExceeded when the
-    shared kernels have more than ``ENUMERATION_CAP`` variant combinations.
+    With a target, ``points`` holds at most one point: the least (latency,
+    area) within the target, with every branch reaching it.
     """
     kernels = design.kernels
     if not all(k.variants for k in kernels.values()):
         raise ValueError("design has a kernel with no variants; nothing to compose")
-    plan: LatencyPlan = design.plan(LatencyModelKind.CORRECT)
-    paths = [0] * plan.size  # call paths from the top to each slot
+    plan = design.plan(kind)
+    paths = [0] * plan.size  # plan paths from the top to each slot
     paths[plan.top] = 1
     for slot, _, forms in reversed(plan.steps):
         for form in forms:
@@ -153,40 +173,112 @@ def compose_front(design: Design) -> DesignFront:
                 paths[s] += paths[slot]
     reach = {kid: paths[i] for i, kid in enumerate(design.order)}
     shared = tuple(kid for kid in sorted(kernels) if reach[kid] > 1)
-    count = 1
-    for kid in shared:
-        count *= len(kernels[kid].variants)
-    if count > ENUMERATION_CAP:
-        raise CapExceeded(count, ENUMERATION_CAP)
+    if target is None:
+        count = 1
+        for kid in shared:
+            count *= len(kernels[kid].variants)
+        if count > ENUMERATION_CAP:
+            raise CapExceeded(count, ENUMERATION_CAP)
     loose = tuple(kid for kid in sorted(kernels) if not reach[kid])
     steps = tuple(step for step in plan.steps if paths[step[0]])
-    loose_area = sum(min(v.area_tenths for v in kernels[kid].variants) for kid in loose)
 
+    slot_of = {kid: i for i, kid in enumerate(design.order)}
+    least_area = {kid: min(v.area_tenths for v in kernels[kid].variants) for kid in kernels}
     own = _own_fronts(design, {kid: range(len(k.variants)) for kid, k in kernels.items()})
+    # The relaxation: a shared kernel not branched on yet is its least latency
+    # at area 0, and its least area is added once (to ``area`` below).
+    for kid in shared:
+        own[slot_of[kid]] = [(0, min(v.latency for v in kernels[kid].variants))]
     values: list = own + [None] * (plan.size - len(own))
-    slots = [(kid, design.order.index(kid)) for kid in shared]
-    branches = itertools.product(*(range(len(kernels[kid].variants)) for kid in shared))
-    tagged = []
-    for n, combo in enumerate(branches):
-        changed, area = _fix_shared(design, slots, combo, own, values)
-        _run(steps, own, values, changed if n else None)
-        area += loose_area
-        tagged.extend((a + area, lat, combo) for a, lat in values[plan.top])
+    _run(steps, own, values, None)
+
+    found: list = []  # (area, latency, branch) per point, or under a target per branch
+    best: Optional[Point] = None  # under a target: the least (latency, area) so far
+    combo: list[int] = []
+    branches = 0
+
+    def bound(values: list, area: int) -> Optional[Point]:
+        """The least (latency, area) within the target, or None."""
+        if target is None:
+            return None
+        top = values[plan.top]
+        within = bisect_right(top, (target - area, float("inf")))
+        if not within:
+            return None
+        point_area, latency = top[within - 1]
+        return latency, point_area + area
+
+    def descend(values: list, area: int, key: Optional[Point]) -> None:
+        nonlocal best, branches
+        if target is not None and (key is None or (best is not None and key > best)):
+            return  # an equal key may still reach the point with a smaller branch
+        if len(combo) == len(shared):
+            branches += 1
+            if target is None:
+                found.extend((a + area, lat, tuple(combo)) for a, lat in values[plan.top])
+            elif best is None or key < best:
+                best, found[:] = key, [tuple(combo)]
+            else:
+                found.append(tuple(combo))
+            return
+        kid = shared[len(combo)]
+        slot = slot_of[kid]
+        relaxed = own[slot]
+        children = []
+        for index, variant in enumerate(kernels[kid].variants):
+            point = [(0, variant.latency)]
+            child = values
+            if point != relaxed:
+                own[slot] = point
+                child = list(values)
+                child[slot] = point
+                _run(steps, own, child, {slot})
+            child_area = area + variant.area_tenths - least_area[kid]
+            children.append((bound(child, child_area), index, point, child, child_area))
+        if target is not None:  # the most promising first, for an early incumbent
+            children = sorted((c for c in children if c[0] is not None), key=lambda c: c[:2])
+        for key, index, point, child, child_area in children:
+            own[slot] = point
+            combo.append(index)
+            descend(child, child_area, key)
+            combo.pop()
+        own[slot] = relaxed
+
+    area = sum(least_area[kid] for kid in shared + loose)
+    descend(values, area, bound(values, area))
+    if target is not None:
+        if best is None:
+            return DesignFront(kind, (), (), shared, loose, steps, branches)
+        latency, area = best
+        return DesignFront(kind, ((area, latency),), (tuple(found),), shared, loose, steps,
+                           branches)
     points: list[Point] = []
     sources: list[list[tuple[int, ...]]] = []
-    for area, lat, combo in sorted(tagged):
+    for area, lat, branch in sorted(found):
         if points and points[-1] == (area, lat):
-            sources[-1].append(combo)
+            sources[-1].append(branch)
         elif not points or lat < points[-1][1]:
             points.append((area, lat))
-            sources.append([combo])
-    return DesignFront(tuple(points), tuple(map(tuple, sources)), shared, loose, steps)
+            sources.append([branch])
+    return DesignFront(kind, tuple(points), tuple(map(tuple, sources)), shared, loose, steps,
+                       branches)
+
+
+def compose_front(
+    design: Design, kind: LatencyModelKind = LatencyModelKind.CORRECT
+) -> DesignFront:
+    """The design's (area, latency) front under one latency model.
+
+    Raises ValueError if a kernel has no variants and CapExceeded when the
+    shared kernels have more than ``ENUMERATION_CAP`` variant combinations.
+    """
+    return _compose(design, kind, None)
 
 
 def _recover(design: Design, front: DesignFront, goal: int) -> Configuration:
     """The lexicographically smallest configuration at ``front.points[goal]``."""
     area_goal, latency_goal = front.points[goal]
-    kernels, plan = design.kernels, design.plan(LatencyModelKind.CORRECT)
+    kernels, plan = design.kernels, design.plan(front.kind)
     smallest = {kid: min(v.area_tenths for v in k.variants) for kid, k in kernels.items()}
     floor = sum(smallest.values())  # the least area left open by the choices so far
     # Any configuration at the point leaves every kernel within the slack.
@@ -211,7 +303,7 @@ def _recover(design: Design, front: DesignFront, goal: int) -> Configuration:
     states = []  # (branch, fronts, shared and loose area) that still reach the point
     for combo in front.sources[goal]:
         values = own + [None] * (plan.size - len(own))
-        _, area = _fix_shared(design, slots, combo, own, values)
+        area = _fix_shared(design, slots, combo, own, values)
         _run(front.steps, own, values, None)
         states.append((combo, values, area + loose_area))
 
@@ -251,13 +343,28 @@ def _recover(design: Design, front: DesignFront, goal: int) -> Configuration:
     return Configuration.from_mapping(choice)
 
 
+def best_within(
+    design: Design, kind: LatencyModelKind, area_target_tenths: int
+) -> Optional[tuple[Configuration, Point, int]]:
+    """The least (latency, area) configuration within the target under one
+    model, ties to the lexicographically smaller configuration.
+
+    Returns (configuration, (area, latency), branches searched), or None
+    when nothing fits. Nothing is cached on the design but its plan.
+    """
+    front = _compose(design, kind, area_target_tenths)
+    if not front.points:
+        return None
+    return _recover(design, front, 0), front.points[0], front.branches
+
+
 def front_optimum(design: Design, area_target_tenths: int) -> OracleReport:
     """``latency.brute_force_optimum``'s report, read off ``Design.front``.
 
     ``best_feasible`` is the last point within the target, ``min_area`` the
     first point; each configuration is recovered under the same tie-break.
     """
-    front = design.front
+    front = design.front(LatencyModelKind.CORRECT)
 
     def scored(goal: int) -> tuple[Configuration, EvalResult]:
         config = _recover(design, front, goal)

@@ -7,12 +7,18 @@ pulled tight by minimization), and either an area-cap constraint
 (ConstrainedArea mode) or a slack pair linearizing |area - target|
 (Lagrangian mode).
 
-``solve`` finds the exact optimum by branch and bound over the one-hot
-groups: kernels are branched in descending variant-count order and a subtree
-is pruned when an admissible bound (the objective with every undecided
-kernel at its cheapest possible contribution) already exceeds the incumbent.
-There is no LP relaxation and no big-M constant; all arithmetic is exact
-(areas are integer tenths). The tie-break among equal-objective optima is
+``solve`` finds the exact optimum without an LP relaxation or a big-M
+constant; all arithmetic is exact (areas are integer tenths). A
+ConstrainedArea model is answered on the composed (area, latency) front of
+its latency model (``front.best_within``): kernels reached along one path of
+the model's plan combine as fronts, and kernels reached along more than one
+are searched depth first, skipping a subtree whose relaxed front cannot
+reach the best point found so far. A Lagrangian model, whose
+``|area - target|`` term can favour a larger area, is solved by branch and
+bound over the one-hot groups: kernels are branched in descending
+variant-count order and a subtree is pruned when an admissible bound (the
+objective with every undecided kernel at its cheapest possible contribution)
+already exceeds the incumbent. The tie-break among equal-objective optima is
 total and shared with the brute-force oracle: smaller area first, then the
 lexicographically smaller configuration.
 """
@@ -359,14 +365,14 @@ def _check_declarative(
         )
 
 
-def solve(model: IlpModel) -> IlpSolution:
-    """Exact optimum of the model, deterministic up to the documented tie-break."""
+def _lagrangian_search(model: IlpModel) -> tuple[Fraction, int, Configuration, int]:
+    """Branch and bound for a Lagrangian model: (objective, area,
+    configuration, latency) of the least (objective, area, configuration)."""
     design = model.design
     order = model.branch_order
     kernels = design.kernels
-    constrained = isinstance(model.objective_spec, ConstrainedArea)
     target = model.objective_spec.area_target_tenths
-    alpha = None if constrained else model.objective_spec.alpha_fraction
+    alpha = model.objective_spec.alpha_fraction
 
     min_latency = {kid: min(v.latency for v in kernels[kid].variants) for kid in kernels}
     min_area = {kid: min(v.area_tenths for v in kernels[kid].variants) for kid in kernels}
@@ -382,12 +388,10 @@ def solve(model: IlpModel) -> IlpSolution:
     def latency_bound() -> int:
         return _run_plan(plan, [self_latency(kid) for kid in slots])
 
-    # (objective, area, configuration): the objective stays an int under
-    # ConstrainedArea, so bounds compare without Fraction arithmetic.
-    best_key: tuple | None = None
+    best_key: tuple | None = None  # (objective, area, configuration)
     best_latency = 0
 
-    def bound() -> Fraction | int | None:
+    def bound() -> Fraction:
         area_lo = area_hi = 0
         for kid in kernels:
             idx = partial.get(kid)
@@ -398,10 +402,6 @@ def solve(model: IlpModel) -> IlpSolution:
                 chosen = kernels[kid].variants[idx].area_tenths
                 area_lo += chosen
                 area_hi += chosen
-        if constrained:
-            if area_lo > target:
-                return None  # no completion can satisfy the area cap
-            return latency_bound()
         distance_lb = max(0, area_lo - target, target - area_hi)
         return alpha * latency_bound() + distance_lb
 
@@ -410,42 +410,51 @@ def solve(model: IlpModel) -> IlpSolution:
         if depth == len(order):
             config = Configuration.from_mapping(partial)
             area = eval_area(design, config)
-            if constrained and area > target:
-                return
             latency = latency_bound()  # exact: every kernel is chosen here
-            objective = latency if constrained else alpha * latency + abs(area - target)
-            key = (objective, area, config)
+            key = (alpha * latency + abs(area - target), area, config)
             if best_key is None or key < best_key:
                 best_key, best_latency = key, latency
             return
         kid = order[depth]
         for idx in range(len(kernels[kid].variants)):
             partial[kid] = idx
-            b = bound()
-            # Strict comparison: an equal bound may still tie and win on the
+            # Not strict: an equal bound may still tie and win on the
             # (area, configuration) components of the key.
-            if b is not None and (best_key is None or b <= best_key[0]):
+            if best_key is None or bound() <= best_key[0]:
                 visit(depth + 1)
             del partial[kid]
 
     visit(0)
+    assert best_key is not None  # every configuration meets a Lagrangian model
+    return (*best_key, best_latency)
 
-    if best_key is None:
-        return IlpSolution(
-            status=SolveStatus.INFEASIBLE,
-            configuration=None,
-            objective=None,
-            predicted_latency=None,
-            predicted_area_tenths=None,
-        )
-    objective, area, config = best_key
+
+def solve(model: IlpModel) -> IlpSolution:
+    """Exact optimum of the model, deterministic up to the documented tie-break."""
+    design = model.design
+    if isinstance(model.objective_spec, ConstrainedArea):
+        from .front import best_within  # compiled on first use, not at package import
+
+        best = best_within(design, model.latency_model, model.objective_spec.area_target_tenths)
+        if best is None:
+            return IlpSolution(
+                status=SolveStatus.INFEASIBLE,
+                configuration=None,
+                objective=None,
+                predicted_latency=None,
+                predicted_area_tenths=None,
+            )
+        config, (area, latency), _ = best
+        objective: Fraction | int = latency
+    else:
+        objective, area, config, latency = _lagrangian_search(model)
     aux = par_node_values(design, config, model.latency_model)
     _check_declarative(model, config, aux, area, objective)
     return IlpSolution(
         status=SolveStatus.OPTIMAL,
         configuration=config,
         objective=Fraction(objective),
-        predicted_latency=best_latency,
+        predicted_latency=latency,
         predicted_area_tenths=area,
         aux_values=tuple(sorted(aux.items())),
     )

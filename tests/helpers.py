@@ -10,6 +10,7 @@ area/latency trade-offs (ascending area, descending latency).
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import Optional
 
 from hlsdse.design import (
@@ -110,6 +111,18 @@ def random_design(
             body=body,
         )
     return Design(kernels=kernels, top=ids[0])
+
+
+def coarsened(rng: random.Random, design: Design) -> Design:
+    """The design with variants from a few areas and latencies: many ties."""
+    kernels = {
+        kid: replace(k, variants=tuple(
+            KernelVariant(i, rng.choice((10, 20, 30)), rng.choice((1, 2, 5)))
+            for i in range(len(k.variants))
+        ))
+        for kid, k in design.kernels.items()
+    }
+    return Design(kernels=kernels, top=design.top)
 
 
 def random_configuration(rng: random.Random, design: Design) -> Configuration:

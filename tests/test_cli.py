@@ -126,10 +126,14 @@ def test_a_body_at_the_depth_bound_runs_and_solves(tmp_path, capsys):
 
 def test_a_body_past_the_depth_bound_is_a_parse_error(tmp_path, capsys):
     deep = nested_syn1(tmp_path / "deep.json", MAX_BODY_DEPTH + 1)
-    with pytest.raises(ParseError, match="nested deeper than"):
+    with pytest.raises(ParseError, match="nested deeper than") as info:
         bench.load(deep)
+    assert info.value.where == str(deep)
     assert main(["run", "--benchmark", str(deep), "--reps", "1", "--out", str(tmp_path)]) == 2
-    assert "ParseError" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "ParseError" in err
+    # The message names the file and the benchmark's kernel, then the node path.
+    assert f"{deep}: SYN1.kernels[0]:top/body/0/0" in err
 
 
 def test_run_drives_an_external_policy(tmp_path, capsys, monkeypatch):

@@ -432,7 +432,7 @@ def test_loads_design_bounds_the_body_depth():
     assert validate(design) == []
     with pytest.raises(ParseError, match="nested deeper than 256 levels") as info:
         loads_design(nested(MAX_BODY_DEPTH + 1))
-    assert info.value.where == "top/body" + "/0" * MAX_BODY_DEPTH
+    assert info.value.where == "design.kernels[0]:top/body" + "/0" * MAX_BODY_DEPTH
 
 
 def test_random_design_json_round_trip():

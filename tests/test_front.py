@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_design
+from helpers import coarsened, random_design
 from hlsdse.agent import OraclePolicy, Success, run
 from hlsdse.bench import builtin, builtin_names
 from hlsdse.design import (
@@ -28,10 +27,11 @@ from hlsdse.design import (
 )
 from hlsdse.errors import CapExceeded
 from hlsdse.front import front_optimum
-from hlsdse.latency import brute_force_optimum, evaluate
+from hlsdse.latency import LatencyModelKind, brute_force_optimum, evaluate
 from hlsdse.variantgen import derive_area_target, optimize_bottom_up
 
 SOURCE = KernelSource(0, 1, 1, 0, 0)
+CORRECT = LatencyModelKind.CORRECT
 
 
 def variants(*points: tuple[int, int]) -> tuple[KernelVariant, ...]:
@@ -61,7 +61,7 @@ def pareto(design: Design) -> tuple[tuple[int, int], ...]:
 def test_front_oracle_matches_enumeration_on_every_builtin(name):
     task = optimize_bottom_up(builtin(name).skeleton)
     design = task.design
-    assert design.front.points == pareto(design)
+    assert design.front(CORRECT).points == pareto(design)
     for target in targets(design) + (derive_area_target(task.baseline.area_tenths),):
         assert front_optimum(design, target) == brute_force_optimum(design, target)
 
@@ -77,17 +77,6 @@ def test_oracle_policy_selects_the_enumeration_optimum_on_every_builtin(name):
     assert (outcome.configuration, outcome.result) == pick
 
 
-def coarsened(rng: random.Random, design: Design) -> Design:
-    """The design with variants from a few areas and latencies: many ties."""
-    kernels = {
-        kid: replace(k, variants=variants(*(
-            (rng.choice((10, 20, 30)), rng.choice((1, 2, 5))) for _ in k.variants
-        )))
-        for kid, k in design.kernels.items()
-    }
-    return Design(kernels=kernels, top=design.top)
-
-
 @settings(max_examples=200, deadline=None, database=None)
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
@@ -100,14 +89,14 @@ def test_front_oracle_matches_enumeration_on_trees_and_dags(seed, second_caller,
     if tied:
         design = coarsened(rng, design)
     assert configuration_count(design) <= 729
-    assert design.front.points == pareto(design)
+    assert design.front(CORRECT).points == pareto(design)
     for target in targets(design):
         assert front_optimum(design, target) == brute_force_optimum(design, target)
 
 
 def test_shared_kernels_are_those_reached_by_more_than_one_call_path():
-    assert optimize_bottom_up(builtin("SYN5").skeleton).design.front.shared == ("A",)
-    assert optimize_bottom_up(builtin("SYN4").skeleton).design.front.shared == ()
+    assert optimize_bottom_up(builtin("SYN5").skeleton).design.front(CORRECT).shared == ("A",)
+    assert optimize_bottom_up(builtin("SYN4").skeleton).design.front(CORRECT).shared == ()
     # B is called once, but from A, which has two call sites; C is called
     # twice from one site (a multiplicity), so it is not shared.
     two = variants((10, 5), (20, 3))
@@ -118,7 +107,7 @@ def test_shared_kernels_are_those_reached_by_more_than_one_call_path():
         "C": Kernel("C", SOURCE, two),
     }
     design = Design(kernels=kernels, top="top")
-    assert design.front.shared == ("A", "B")
+    assert design.front(CORRECT).shared == ("A", "B")
     for target in targets(design):
         assert front_optimum(design, target) == brute_force_optimum(design, target)
 
@@ -133,7 +122,7 @@ def test_ties_and_unreached_kernels_follow_the_documented_tie_break():
         "unreached": Kernel("unreached", SOURCE, variants((7, 1), (5, 9), (5, 2))),
     }
     design = Design(kernels=kernels, top="top")
-    assert design.front.loose == ("unreached",)
+    assert design.front(CORRECT).loose == ("unreached",)
     lo, _, hi = targets(design)
     for target in range(lo - 1, hi + 1):
         assert front_optimum(design, target) == brute_force_optimum(design, target)
@@ -144,7 +133,7 @@ def test_ties_and_unreached_kernels_follow_the_documented_tie_break():
 
 def test_front_is_computed_once_per_design():
     design = optimize_bottom_up(builtin("SYN3").skeleton).design
-    assert design.front is design.front
+    assert design.front(CORRECT) is design.front(CORRECT)
 
 
 def test_trees_no_longer_hit_the_enumeration_cap():
@@ -189,7 +178,7 @@ def test_random_design_draws_are_unchanged_without_second_callers():
         "ab262efe502ebc607f186d07d5fe04293d0b0e05b4eb3c7a89e56284792f309f"
     )
     shared = [
-        bool(random_design(random.Random(seed), second_caller=0.5).front.shared)
+        bool(random_design(random.Random(seed), second_caller=0.5).front(CORRECT).shared)
         for seed in range(100)
     ]
     assert any(shared) and not all(shared)

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_configuration, random_design
-from hlsdse.bench import gap_fixture
+from helpers import coarsened, random_configuration, random_design, reference_latency
 from hlsdse.design import (
     Configuration,
     Design,
@@ -24,6 +23,8 @@ from hlsdse.design import (
     par,
     seq,
 )
+from hlsdse import front, ilp
+from hlsdse.bench import builtin, builtin_names, gap_fixture
 from hlsdse.errors import CyclicDesign, RetriesExhausted
 from hlsdse.ilp import (
     AuxParMax,
@@ -46,6 +47,7 @@ from hlsdse.latency import (
     evaluate,
     par_node_values,
 )
+from hlsdse.variantgen import greedy_configuration, optimize_bottom_up
 
 SOURCE = KernelSource(0, 1, 1, 0, 0)
 
@@ -315,6 +317,113 @@ def test_every_model_kind_matches_its_own_enumeration_optimum(kind):
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.predicted_latency == expected[0]
         assert solution.configuration == expected[2]
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([0.3, 0.7]),
+    st.booleans(),
+)
+def test_area_capped_solves_equal_enumeration_under_every_model(seed, second_caller, tied):
+    rng = random.Random(seed)
+    design = random_design(rng, max_kernels=6, max_variants=3, second_caller=second_caller)
+    if tied:
+        design = coarsened(rng, design)
+    configs = list(enumerate_configurations(design))
+    assert len(configs) <= 729
+    areas = [eval_area(design, config) for config in configs]
+    lo, hi = min(areas), max(areas)
+    for kind in LatencyModelKind:
+        rows = sorted(
+            (reference_latency(design, config, kind), area, config)
+            for config, area in zip(configs, areas)
+        )
+        pareto: list[tuple[int, int]] = []
+        for area, latency in sorted((area, latency) for latency, area, _ in rows):
+            if not pareto or latency < pareto[-1][1]:
+                pareto.append((area, latency))
+        assert design.front(kind).points == tuple(pareto)
+        for target in (lo - 1, lo, (lo + hi) // 2, hi):
+            solution = solve(build_model(design, ConstrainedArea(target), kind))
+            best = next((row for row in rows if row[1] <= target), None)
+            if best is None:
+                assert solution.status is SolveStatus.INFEASIBLE
+            else:
+                got = (solution.predicted_latency, solution.predicted_area_tenths,
+                       solution.configuration)
+                assert got == best
+
+
+def test_area_capped_search_skips_shared_branches():
+    # Five kernels, each called from two sites: 4**5 branches of shared variants.
+    four = lambda scale: tuple(  # noqa: E731
+        KernelVariant(i, area_tenths=scale * (10 + 7 * i), latency=scale * (40 - 9 * i))
+        for i in range(4)
+    )
+    shared = [f"s{i}" for i in range(5)]
+    kernels = {kid: Kernel(kid, SOURCE, four(i + 1)) for i, kid in enumerate(shared)}
+    body = par(
+        seq(call("s0"), call("s1"), call("s2")),
+        seq(call("s3"), call("s4")),
+        seq(call("s0"), call("s3", 2)),
+        loop(2, seq(call("s1"), call("s4"))),
+        call("s2"),
+    )
+    kernels["top"] = Kernel("top", SOURCE, four(1), body)
+    design = Design(kernels=kernels, top="top")
+    assert design.front(LatencyModelKind.CORRECT).shared == tuple(shared)
+    assert design.front(LatencyModelKind.CORRECT).branches == 4**5
+    lo = eval_area(design, Configuration.from_mapping({kid: 0 for kid in kernels}))
+    hi = eval_area(design, Configuration.from_mapping({kid: 3 for kid in kernels}))
+    for target in (lo, (2 * lo + hi) // 3, (lo + 2 * hi) // 3, hi):
+        config, (area, latency), branches = front.best_within(
+            design, LatencyModelKind.CORRECT, target
+        )
+        assert branches < 4**5 // 20
+        best_config, result = brute_force_optimum(design, target).best_feasible
+        assert (config, area, latency) == (best_config, result.area_tenths, result.latency)
+
+
+def test_area_capped_ties_across_shared_branches_take_the_smaller_configuration():
+    # s is shared; (a=1, s=0) and (a=0, s=1) both reach area 30 and latency
+    # 10, in different branches. The branch s=0 is searched first, and the
+    # branch s=1 must still be searched: it holds the smaller configuration.
+    two = (KernelVariant(0, 10, 5), KernelVariant(1, 20, 4))
+    kernels = {
+        "top": Kernel("top", SOURCE, (KernelVariant(0, 0, 1),),
+                      seq(par(call("s"), call("s")), call("a"))),
+        "s": Kernel("s", SOURCE, two),
+        "a": Kernel("a", SOURCE, two),
+    }
+    design = Design(kernels=kernels, top="top")
+    solution = solve(build_model(design, ConstrainedArea(30)))
+    assert solution.configuration == Configuration.from_mapping({"top": 0, "s": 1, "a": 0})
+    assert (solution.predicted_latency, solution.predicted_area_tenths) == (10, 30)
+    assert _enumeration_best(design, LatencyModelKind.CORRECT, 30) == (
+        10, 30, solution.configuration
+    )
+
+
+@pytest.mark.parametrize("kind", list(LatencyModelKind))
+def test_area_capped_solves_never_reach_branch_and_bound(kind, monkeypatch):
+    def refuse(model):
+        raise AssertionError("branch and bound is for Lagrangian models only")
+
+    monkeypatch.setattr(ilp, "_lagrangian_search", refuse)
+    for name in builtin_names():
+        design = optimize_bottom_up(builtin(name).skeleton).design
+        target = (eval_area(design, greedy_configuration(design)) * 9) // 10
+        solution = solve(build_model(design, ConstrainedArea(target), kind))
+        expected = _enumeration_best(design, kind, target)
+        if expected is None:
+            assert solution.status is SolveStatus.INFEASIBLE
+        else:
+            assert (solution.predicted_latency, solution.configuration) == (
+                expected[0], expected[2]
+            )
+    with pytest.raises(AssertionError, match="Lagrangian models only"):
+        solve(build_model(design, Lagrangian(target), kind))
 
 
 def test_solver_matches_brute_force_on_random_designs():
