@@ -88,7 +88,6 @@ from .errors import (
     InvalidAction,
     InvalidPragma,
     ParseError,
-    RetriesExhausted,
     SessionTerminated,
     UnknownBenchmark,
     UnsupportedModel,
@@ -111,11 +110,9 @@ from .ilp import (
     IlpSolution,
     Lagrangian,
     ObjectiveSpec,
-    RelaxResult,
     SolveStatus,
     build_model,
     relax_target,
-    retry_relax,
     solve,
     to_lp_text,
 )

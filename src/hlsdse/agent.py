@@ -603,7 +603,7 @@ def run(
 
 
 class OraclePolicy(Policy):
-    """Selects the enumeration optimum, read off the design's front, in one action."""
+    """Selects the enumeration optimum, found by the targeted front search, in one action."""
 
     policy_id = "oracle"
 

@@ -26,8 +26,7 @@ from typing import TYPE_CHECKING, Any, Iterator, Mapping, Union
 from .errors import CapExceeded, CyclicDesign, ParseError
 
 if TYPE_CHECKING:
-    from .front import DesignFront
-    from .latency import LatencyModelKind, LatencyPlan
+    from .latency import LatencyModelKind, LatencyPlan, OracleReport
 
 ENUMERATION_CAP = 10**6
 
@@ -195,18 +194,9 @@ class Design:
         return plan
 
     @cached_property
-    def _fronts(self) -> dict["LatencyModelKind", "DesignFront"]:
+    def _reports(self) -> dict[int, "OracleReport"]:
+        """``front.front_optimum``'s reports, keyed by area target."""
         return {}
-
-    def front(self, kind: "LatencyModelKind") -> "DesignFront":
-        """``front.compose_front(self, kind)``, composed on first use and
-        kept once per design and model."""
-        front = self._fronts.get(kind)
-        if front is None:
-            from .front import compose_front
-
-            front = self._fronts[kind] = compose_front(self, kind)
-        return front
 
     def with_variants(self, options: Mapping[str, tuple[KernelVariant, ...]]) -> "Design":
         """Return a copy with the given variant lists installed per kernel."""

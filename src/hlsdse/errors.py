@@ -47,18 +47,6 @@ class UnsupportedModel(HlsDseError):
     """An unknown latency-model identifier was requested."""
 
 
-class RetriesExhausted(HlsDseError):
-    """Area-target relaxation ran out of retries without reaching feasibility."""
-
-    def __init__(self, retries: int, area_target_tenths: int) -> None:
-        self.retries = retries
-        self.area_target_tenths = area_target_tenths
-        super().__init__(
-            f"still infeasible after {retries} relaxations "
-            f"(last target {area_target_tenths / 10.0})"
-        )
-
-
 class FunctionalityBroken(HlsDseError):
     """Variant generation for a kernel kept producing faulty results."""
 

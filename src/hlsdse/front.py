@@ -1,5 +1,5 @@
-"""Composed (area, latency) Pareto fronts, the oracle read off them, and the
-area-capped optimum under any latency model.
+"""The area-capped optimum under any latency model, read off composed
+(area, latency) Pareto fronts, and the oracle that asks it.
 
 A front is a list of (area, latency) points, area ascending and latency
 strictly descending: the non-dominated totals over every choice of variants.
@@ -15,15 +15,14 @@ That holds for a kernel the plan reaches along one path. Kernels reached
 along more than one (and so every kernel below one) are *shared*: they are
 branched on outside the combination, depth first in sorted id order. A
 branch, one variant per shared kernel, turns them into single points of area
-0 and adds their areas once to the branch's top front. The design's front is
-the union of the branch fronts, pruned. Kernels the top never reaches add
-their smallest area.
+0 and adds their areas once to the branch's top front. Kernels the top never
+reaches add their smallest area.
 
-Under an area target the search skips a subtree whose relaxed front cannot
-reach the best point found so far. The relaxation turns every shared kernel
-not yet branched on into the point (area 0, its least latency) and adds its
-least area once: each step is monotone, so this front dominates every
-branch below the node.
+The search looks for the least (latency, area) point within an area target,
+and skips a subtree whose relaxed front cannot reach the best point found so
+far. The relaxation turns every shared kernel not yet branched on into the
+point (area 0, its least latency) and adds its least area once: each step is
+monotone, so this front dominates every branch below the node.
 
 This is the compositional exploration of Liu, Petracca & Carloni
 ("Compositional System-Level Design Exploration with Planning of High-Level
@@ -37,6 +36,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from math import prod
 from typing import Iterable, Optional
 
 from .design import ENUMERATION_CAP, Configuration, Design
@@ -44,6 +44,7 @@ from .errors import CapExceeded
 from .latency import (
     EvalResult,
     LatencyModelKind,
+    LatencyPlan,
     LinearForm,
     OracleReport,
     _run_plan,
@@ -116,18 +117,20 @@ def _run(steps: tuple[Step, ...], own: list[Front], values: list, changed: Optio
 
 @dataclass(frozen=True)
 class DesignFront:
-    """A design's top front under one latency model, and what recovery reads.
+    """The best point within an area target under one latency model, and
+    what recovery reads.
 
-    ``points`` ascend in area. ``sources[i]`` lists the branches reaching
-    ``points[i]``, each as the variant indices of the ``shared`` kernels.
-    ``steps`` are the plan's steps the top reaches; ``loose`` are the
-    kernels it does not reach. ``branches`` counts the branches searched to
-    the end: all of them for ``Design.front``, fewer under a target.
+    ``point`` is the least (latency, area) point within the target, as
+    (area, latency), or None when nothing fits. ``sources`` lists the
+    branches reaching it, each as the variant indices of the ``shared``
+    kernels. ``steps`` are the plan's steps the top reaches; ``loose`` are
+    the kernels it does not reach. ``branches`` counts the branches searched
+    to the end.
     """
 
     kind: LatencyModelKind
-    points: tuple[Point, ...]
-    sources: tuple[tuple[tuple[int, ...], ...], ...]
+    point: Optional[Point]
+    sources: tuple[tuple[int, ...], ...]
     shared: tuple[str, ...]
     loose: tuple[str, ...]
     steps: tuple[Step, ...]
@@ -155,30 +158,27 @@ def _fix_shared(design: Design, shared: list[tuple[str, int]], combo: tuple[int,
     return area
 
 
-def _compose(design: Design, kind: LatencyModelKind, target: Optional[int]) -> DesignFront:
-    """The front of every branch, or under ``target`` the best point within it.
-
-    With a target, ``points`` holds at most one point: the least (latency,
-    area) within the target, with every branch reaching it.
-    """
-    kernels = design.kernels
-    if not all(k.variants for k in kernels.values()):
-        raise ValueError("design has a kernel with no variants; nothing to compose")
-    plan = design.plan(kind)
-    paths = [0] * plan.size  # plan paths from the top to each slot
+def _paths(plan: LatencyPlan) -> list[int]:
+    """The number of plan paths from the top to each slot."""
+    paths = [0] * plan.size
     paths[plan.top] = 1
     for slot, _, forms in reversed(plan.steps):
         for form in forms:
             for s, _ in form:
                 paths[s] += paths[slot]
+    return paths
+
+
+def _compose(design: Design, kind: LatencyModelKind, target: int) -> DesignFront:
+    """The least (latency, area) point within ``target``, with every branch
+    reaching it."""
+    kernels = design.kernels
+    if not all(k.variants for k in kernels.values()):
+        raise ValueError("design has a kernel with no variants; nothing to compose")
+    plan = design.plan(kind)
+    paths = _paths(plan)
     reach = {kid: paths[i] for i, kid in enumerate(design.order)}
     shared = tuple(kid for kid in sorted(kernels) if reach[kid] > 1)
-    if target is None:
-        count = 1
-        for kid in shared:
-            count *= len(kernels[kid].variants)
-        if count > ENUMERATION_CAP:
-            raise CapExceeded(count, ENUMERATION_CAP)
     loose = tuple(kid for kid in sorted(kernels) if not reach[kid])
     steps = tuple(step for step in plan.steps if paths[step[0]])
 
@@ -192,15 +192,13 @@ def _compose(design: Design, kind: LatencyModelKind, target: Optional[int]) -> D
     values: list = own + [None] * (plan.size - len(own))
     _run(steps, own, values, None)
 
-    found: list = []  # (area, latency, branch) per point, or under a target per branch
-    best: Optional[Point] = None  # under a target: the least (latency, area) so far
+    found: list[tuple[int, ...]] = []  # the branches reaching ``best``
+    best: Optional[Point] = None  # the least (latency, area) so far
     combo: list[int] = []
     branches = 0
 
     def bound(values: list, area: int) -> Optional[Point]:
         """The least (latency, area) within the target, or None."""
-        if target is None:
-            return None
         top = values[plan.top]
         within = bisect_right(top, (target - area, float("inf")))
         if not within:
@@ -210,13 +208,11 @@ def _compose(design: Design, kind: LatencyModelKind, target: Optional[int]) -> D
 
     def descend(values: list, area: int, key: Optional[Point]) -> None:
         nonlocal best, branches
-        if target is not None and (key is None or (best is not None and key > best)):
+        if key is None or (best is not None and key > best):
             return  # an equal key may still reach the point with a smaller branch
         if len(combo) == len(shared):
             branches += 1
-            if target is None:
-                found.extend((a + area, lat, tuple(combo)) for a, lat in values[plan.top])
-            elif best is None or key < best:
+            if best is None or key < best:
                 best, found[:] = key, [tuple(combo)]
             else:
                 found.append(tuple(combo))
@@ -234,9 +230,10 @@ def _compose(design: Design, kind: LatencyModelKind, target: Optional[int]) -> D
                 child[slot] = point
                 _run(steps, own, child, {slot})
             child_area = area + variant.area_tenths - least_area[kid]
-            children.append((bound(child, child_area), index, point, child, child_area))
-        if target is not None:  # the most promising first, for an early incumbent
-            children = sorted((c for c in children if c[0] is not None), key=lambda c: c[:2])
+            key = bound(child, child_area)
+            if key is not None:
+                children.append((key, index, point, child, child_area))
+        children.sort(key=lambda c: c[:2])  # the most promising first, for an early incumbent
         for key, index, point, child, child_area in children:
             own[slot] = point
             combo.append(index)
@@ -246,38 +243,13 @@ def _compose(design: Design, kind: LatencyModelKind, target: Optional[int]) -> D
 
     area = sum(least_area[kid] for kid in shared + loose)
     descend(values, area, bound(values, area))
-    if target is not None:
-        if best is None:
-            return DesignFront(kind, (), (), shared, loose, steps, branches)
-        latency, area = best
-        return DesignFront(kind, ((area, latency),), (tuple(found),), shared, loose, steps,
-                           branches)
-    points: list[Point] = []
-    sources: list[list[tuple[int, ...]]] = []
-    for area, lat, branch in sorted(found):
-        if points and points[-1] == (area, lat):
-            sources[-1].append(branch)
-        elif not points or lat < points[-1][1]:
-            points.append((area, lat))
-            sources.append([branch])
-    return DesignFront(kind, tuple(points), tuple(map(tuple, sources)), shared, loose, steps,
-                       branches)
+    point = None if best is None else (best[1], best[0])
+    return DesignFront(kind, point, tuple(found), shared, loose, steps, branches)
 
 
-def compose_front(
-    design: Design, kind: LatencyModelKind = LatencyModelKind.CORRECT
-) -> DesignFront:
-    """The design's (area, latency) front under one latency model.
-
-    Raises ValueError if a kernel has no variants and CapExceeded when the
-    shared kernels have more than ``ENUMERATION_CAP`` variant combinations.
-    """
-    return _compose(design, kind, None)
-
-
-def _recover(design: Design, front: DesignFront, goal: int) -> Configuration:
-    """The lexicographically smallest configuration at ``front.points[goal]``."""
-    area_goal, latency_goal = front.points[goal]
+def _recover(design: Design, front: DesignFront) -> Configuration:
+    """The lexicographically smallest configuration at ``front.point``."""
+    area_goal, latency_goal = front.point
     kernels, plan = design.kernels, design.plan(front.kind)
     smallest = {kid: min(v.area_tenths for v in k.variants) for kid, k in kernels.items()}
     floor = sum(smallest.values())  # the least area left open by the choices so far
@@ -301,7 +273,7 @@ def _recover(design: Design, front: DesignFront, goal: int) -> Configuration:
         return latency is not None and latency <= latency_goal
 
     states = []  # (branch, fronts, shared and loose area) that still reach the point
-    for combo in front.sources[goal]:
+    for combo in front.sources:
         values = own + [None] * (plan.size - len(own))
         area = _fix_shared(design, slots, combo, own, values)
         _run(front.steps, own, values, None)
@@ -353,28 +325,35 @@ def best_within(
     when nothing fits. Nothing is cached on the design but its plan.
     """
     front = _compose(design, kind, area_target_tenths)
-    if not front.points:
+    if front.point is None:
         return None
-    return _recover(design, front, 0), front.points[0], front.branches
+    return _recover(design, front), front.point, front.branches
 
 
 def front_optimum(design: Design, area_target_tenths: int) -> OracleReport:
-    """``latency.brute_force_optimum``'s report, read off ``Design.front``.
+    """``latency.brute_force_optimum``'s report, from ``best_within`` under
+    the correct model, kept once per design and target.
 
-    ``best_feasible`` is the last point within the target, ``min_area`` the
-    first point; each configuration is recovered under the same tie-break.
+    ``best_feasible`` is the best configuration within the target and
+    ``min_area`` the best within the least total area. Raises ValueError if
+    a kernel has no variants and CapExceeded when the shared kernels have
+    more than ``ENUMERATION_CAP`` variant combinations.
     """
-    front = design.front(LatencyModelKind.CORRECT)
+    report = design._reports.get(area_target_tenths)
+    if report is not None:
+        return report
+    kernels = design.kernels
+    paths = _paths(design.plan(LatencyModelKind.CORRECT))
+    count = prod(len(kernels[kid].variants) for i, kid in enumerate(design.order) if paths[i] > 1)
+    if count > ENUMERATION_CAP:
+        raise CapExceeded(count, ENUMERATION_CAP)
 
-    def scored(goal: int) -> tuple[Configuration, EvalResult]:
-        config = _recover(design, front, goal)
-        return config, evaluate(design, config)
+    def scored(target: int) -> Optional[tuple[Configuration, EvalResult]]:
+        best = best_within(design, LatencyModelKind.CORRECT, target)
+        return None if best is None else (best[0], evaluate(design, best[0]))
 
-    within = [i for i, (area, _) in enumerate(front.points) if area <= area_target_tenths]
-    min_area = scored(0)
-    if not within:
-        return OracleReport(best_feasible=None, min_area=min_area)
-    return OracleReport(
-        best_feasible=min_area if within[-1] == 0 else scored(within[-1]),
-        min_area=min_area,
-    )
+    best_feasible = scored(area_target_tenths)  # first: it rejects a kernel with no variants
+    least = sum(min(v.area_tenths for v in k.variants) for k in kernels.values())
+    report = OracleReport(best_feasible=best_feasible, min_area=scored(least))
+    design._reports[area_target_tenths] = report
+    return report

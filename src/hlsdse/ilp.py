@@ -40,10 +40,7 @@ from .design import (
     Seq,
     direct_callees,
 )
-from .errors import RetriesExhausted
 from .latency import LatencyModelKind, _run_plan, eval_area, par_node_values
-
-DEFAULT_MAX_RETRIES = 10
 
 
 class VarKind(Enum):
@@ -137,13 +134,6 @@ class IlpModel:
     objective_spec: ObjectiveSpec
     design: Design
     branch_order: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class RelaxResult:
-    solution: IlpSolution
-    retries: int
-    area_target_tenths: int
 
 
 def _selection_var_id(kernel: str, variant: int) -> str:
@@ -466,34 +456,6 @@ def relax_target(area_target_tenths: int, step_fraction: float) -> int:
         raise ValueError(f"step_fraction must be >= 0, got {step_fraction}")
     factor = 1 + Fraction(str(step_fraction))
     return (area_target_tenths * factor.numerator) // factor.denominator
-
-
-def retry_relax(
-    model: IlpModel, step_fraction: float, max_retries: int = DEFAULT_MAX_RETRIES
-) -> RelaxResult:
-    """Solve, relaxing an infeasible area target by (1 + step) per retry.
-
-    Requires a ConstrainedArea model. Returns the first Optimal solution with
-    the retry count and the target that finally admitted it; raises
-    RetriesExhausted when every attempt stays infeasible.
-    """
-    if not isinstance(model.objective_spec, ConstrainedArea):
-        raise ValueError("retry_relax requires a ConstrainedArea model")
-    if step_fraction < 0:
-        raise ValueError(f"step_fraction must be >= 0, got {step_fraction}")
-    target = model.objective_spec.area_target_tenths
-    current = model
-    for retries in range(max_retries + 1):
-        solution = solve(current)
-        if solution.status is SolveStatus.OPTIMAL:
-            return RelaxResult(
-                solution=solution,
-                retries=retries,
-                area_target_tenths=current.objective_spec.area_target_tenths,
-            )
-        target = relax_target(target, step_fraction)
-        current = build_model(model.design, ConstrainedArea(target), model.latency_model)
-    raise RetriesExhausted(max_retries, target)
 
 
 def to_lp_text(model: IlpModel) -> str:

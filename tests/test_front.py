@@ -1,4 +1,4 @@
-"""Composed-front oracle tests: equal to enumeration, configurations included."""
+"""Front-search oracle tests: equal to enumeration, configurations included."""
 
 from __future__ import annotations
 
@@ -26,7 +26,8 @@ from hlsdse.design import (
     seq,
 )
 from hlsdse.errors import CapExceeded
-from hlsdse.front import front_optimum
+from hlsdse.front import _compose, best_within, front_optimum
+from hlsdse.ilp import ConstrainedArea, build_model, solve
 from hlsdse.latency import LatencyModelKind, brute_force_optimum, evaluate
 from hlsdse.variantgen import derive_area_target, optimize_bottom_up
 
@@ -57,11 +58,22 @@ def pareto(design: Design) -> tuple[tuple[int, int], ...]:
     return tuple(points)
 
 
+def reaches_pareto(design: Design) -> bool:
+    """Whether the search answers each Pareto point at its own area."""
+    points = pareto(design)
+    return tuple(best_within(design, CORRECT, area)[1] for area, _ in points) == points
+
+
+def composed(design: Design):
+    """The search's result at the design's largest area."""
+    return _compose(design, CORRECT, targets(design)[-1])
+
+
 @pytest.mark.parametrize("name", builtin_names())
 def test_front_oracle_matches_enumeration_on_every_builtin(name):
     task = optimize_bottom_up(builtin(name).skeleton)
     design = task.design
-    assert design.front(CORRECT).points == pareto(design)
+    assert reaches_pareto(design)
     for target in targets(design) + (derive_area_target(task.baseline.area_tenths),):
         assert front_optimum(design, target) == brute_force_optimum(design, target)
 
@@ -89,14 +101,14 @@ def test_front_oracle_matches_enumeration_on_trees_and_dags(seed, second_caller,
     if tied:
         design = coarsened(rng, design)
     assert configuration_count(design) <= 729
-    assert design.front(CORRECT).points == pareto(design)
+    assert reaches_pareto(design)
     for target in targets(design):
         assert front_optimum(design, target) == brute_force_optimum(design, target)
 
 
 def test_shared_kernels_are_those_reached_by_more_than_one_call_path():
-    assert optimize_bottom_up(builtin("SYN5").skeleton).design.front(CORRECT).shared == ("A",)
-    assert optimize_bottom_up(builtin("SYN4").skeleton).design.front(CORRECT).shared == ()
+    assert composed(optimize_bottom_up(builtin("SYN5").skeleton).design).shared == ("A",)
+    assert composed(optimize_bottom_up(builtin("SYN4").skeleton).design).shared == ()
     # B is called once, but from A, which has two call sites; C is called
     # twice from one site (a multiplicity), so it is not shared.
     two = variants((10, 5), (20, 3))
@@ -107,7 +119,7 @@ def test_shared_kernels_are_those_reached_by_more_than_one_call_path():
         "C": Kernel("C", SOURCE, two),
     }
     design = Design(kernels=kernels, top="top")
-    assert design.front(CORRECT).shared == ("A", "B")
+    assert composed(design).shared == ("A", "B")
     for target in targets(design):
         assert front_optimum(design, target) == brute_force_optimum(design, target)
 
@@ -122,7 +134,7 @@ def test_ties_and_unreached_kernels_follow_the_documented_tie_break():
         "unreached": Kernel("unreached", SOURCE, variants((7, 1), (5, 9), (5, 2))),
     }
     design = Design(kernels=kernels, top="top")
-    assert design.front(CORRECT).loose == ("unreached",)
+    assert composed(design).loose == ("unreached",)
     lo, _, hi = targets(design)
     for target in range(lo - 1, hi + 1):
         assert front_optimum(design, target) == brute_force_optimum(design, target)
@@ -131,9 +143,21 @@ def test_ties_and_unreached_kernels_follow_the_documented_tie_break():
     )
 
 
-def test_front_is_computed_once_per_design():
+def test_oracle_report_is_kept_per_design_and_target():
+    skeleton = builtin("SYN3").skeleton
+    design = optimize_bottom_up(skeleton).design
+    _, mid, hi = targets(design)
+    assert front_optimum(design, mid) is front_optimum(design, mid)
+    assert front_optimum(design, mid) != front_optimum(design, hi)
+    other = optimize_bottom_up(skeleton).design
+    assert front_optimum(other, mid) == front_optimum(design, mid)
+    assert front_optimum(other, mid) is not front_optimum(design, mid)
+
+
+def test_a_solve_caches_nothing_on_the_design_but_its_plan():
     design = optimize_bottom_up(builtin("SYN3").skeleton).design
-    assert design.front(CORRECT) is design.front(CORRECT)
+    solve(build_model(design, ConstrainedArea(targets(design)[1])))
+    assert set(vars(design)) == {"kernels", "top", "order", "_plans"}
 
 
 def test_trees_no_longer_hit_the_enumeration_cap():
@@ -178,7 +202,7 @@ def test_random_design_draws_are_unchanged_without_second_callers():
         "ab262efe502ebc607f186d07d5fe04293d0b0e05b4eb3c7a89e56284792f309f"
     )
     shared = [
-        bool(random_design(random.Random(seed), second_caller=0.5).front(CORRECT).shared)
+        bool(composed(random_design(random.Random(seed), second_caller=0.5)).shared)
         for seed in range(100)
     ]
     assert any(shared) and not all(shared)

@@ -25,7 +25,7 @@ from hlsdse.design import (
 )
 from hlsdse import front, ilp
 from hlsdse.bench import builtin, builtin_names, gap_fixture
-from hlsdse.errors import CyclicDesign, RetriesExhausted
+from hlsdse.errors import CyclicDesign
 from hlsdse.ilp import (
     AuxParMax,
     ConstrainedArea,
@@ -35,7 +35,6 @@ from hlsdse.ilp import (
     VarKind,
     build_model,
     relax_target,
-    retry_relax,
     solve,
     to_lp_text,
 )
@@ -343,7 +342,7 @@ def test_area_capped_solves_equal_enumeration_under_every_model(seed, second_cal
         for area, latency in sorted((area, latency) for latency, area, _ in rows):
             if not pareto or latency < pareto[-1][1]:
                 pareto.append((area, latency))
-        assert design.front(kind).points == tuple(pareto)
+        assert [front.best_within(design, kind, area)[1] for area, _ in pareto] == pareto
         for target in (lo - 1, lo, (lo + hi) // 2, hi):
             solution = solve(build_model(design, ConstrainedArea(target), kind))
             best = next((row for row in rows if row[1] <= target), None)
@@ -372,10 +371,9 @@ def test_area_capped_search_skips_shared_branches():
     )
     kernels["top"] = Kernel("top", SOURCE, four(1), body)
     design = Design(kernels=kernels, top="top")
-    assert design.front(LatencyModelKind.CORRECT).shared == tuple(shared)
-    assert design.front(LatencyModelKind.CORRECT).branches == 4**5
     lo = eval_area(design, Configuration.from_mapping({kid: 0 for kid in kernels}))
     hi = eval_area(design, Configuration.from_mapping({kid: 3 for kid in kernels}))
+    assert front._compose(design, LatencyModelKind.CORRECT, hi).shared == tuple(shared)
     for target in (lo, (2 * lo + hi) // 3, (lo + 2 * hi) // 3, hi):
         config, (area, latency), branches = front.best_within(
             design, LatencyModelKind.CORRECT, target
@@ -475,33 +473,3 @@ def test_relax_target_uses_exact_floor_arithmetic():
     assert relax_target(100, 0.0) == 100
     with pytest.raises(ValueError):
         relax_target(100, -0.1)
-
-
-def test_retry_relax_widens_until_feasible():
-    model = build_model(parallel_pair_design(), ConstrainedArea(1000))
-    result = retry_relax(model, step_fraction=0.5)
-    # 1000 -> 1500 -> 2250: feasible on the second relaxation.
-    assert result.retries == 2
-    assert result.area_target_tenths == 2250
-    assert result.solution.configuration == Configuration.from_mapping(
-        {"top": 0, "A": 0, "B": 0}
-    )
-
-
-def test_retry_relax_zero_step_exhausts():
-    model = build_model(parallel_pair_design(), ConstrainedArea(1000))
-    with pytest.raises(RetriesExhausted):
-        retry_relax(model, step_fraction=0.0, max_retries=3)
-
-
-def test_retry_relax_requires_area_cap_mode():
-    model = build_model(parallel_pair_design(), Lagrangian(1000))
-    with pytest.raises(ValueError):
-        retry_relax(model, step_fraction=0.5)
-
-
-def test_retry_relax_feasible_model_needs_no_retries():
-    model = build_model(parallel_pair_design(), ConstrainedArea(2200))
-    result = retry_relax(model, step_fraction=0.5)
-    assert result.retries == 0
-    assert result.area_target_tenths == 2200
