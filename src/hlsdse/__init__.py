@@ -89,6 +89,7 @@ from .errors import (
     InvalidPragma,
     ParseError,
     SessionTerminated,
+    TotalTooLarge,
     UnknownBenchmark,
     UnsupportedModel,
     ValidationError,

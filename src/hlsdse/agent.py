@@ -50,6 +50,9 @@ from .variantgen import greedy_configuration
 # Consecutive invalid actions tolerated before the run is abandoned.
 INVALID_ACTION_LIMIT = 3
 
+# Fraction by which IlpFirstPolicy widens an infeasible area target.
+RELAX_STEP = 0.5
+
 # Longest line read from an external policy; a longer one ends its output.
 MAX_ACTION_LINE_BYTES = 1 << 20
 
@@ -623,8 +626,9 @@ class IlpFirstPolicy(Policy):
 
     One Synthesize of the per-kernel lowest-latency configuration, one
     SolveIlp at the session target, then Select the solver's answer. An
-    infeasible outcome relaxes the target by half, up to ``max_relax_retries``
-    times; if every attempt stays infeasible the greedy baseline is selected.
+    infeasible outcome widens the target by ``RELAX_STEP`` (half), up to
+    ``max_relax_retries`` times; if every attempt stays infeasible the greedy
+    baseline is selected.
     The latency model is injectable so that a deliberately wrong internal
     model can drive the same script.
     """
@@ -634,7 +638,6 @@ class IlpFirstPolicy(Policy):
         latency_model: LatencyModelKind = LatencyModelKind.CORRECT,
         objective_mode: str = "constrained",
         alpha: Union[int, float, Fraction] = 1,
-        relax_step: float = 0.5,
         max_relax_retries: int = 10,
     ) -> None:
         if objective_mode not in ("constrained", "lagrangian"):
@@ -642,7 +645,6 @@ class IlpFirstPolicy(Policy):
         self.latency_model = latency_model
         self.objective_mode = objective_mode
         self.alpha = alpha
-        self.relax_step = relax_step
         self.max_relax_retries = max_relax_retries
         self._synthesized = False
         self._retries = 0
@@ -677,7 +679,7 @@ class IlpFirstPolicy(Policy):
             if self._retries >= self.max_relax_retries:
                 return Select(self._greedy)
             self._retries += 1
-            self._target = relax_target(self._target, self.relax_step)
+            self._target = relax_target(self._target, RELAX_STEP)
         return SolveIlp(self._objective(), self.latency_model)
 
 

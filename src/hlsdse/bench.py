@@ -303,11 +303,13 @@ def benchmark_from_dict(data: Any) -> Benchmark:
 def load(path: str | Path) -> Benchmark:
     text = Path(path).read_text()
     try:
-        return benchmark_from_dict(json.loads(text))
-    except json.JSONDecodeError as exc:
+        data = json.loads(text)
+    except ValueError as exc:  # bad JSON, or an integer past the digit limit
         raise ParseError(f"invalid JSON: {exc}", where=str(path)) from None
-    except RecursionError:  # the decoder's own, or the node parser's
+    except RecursionError:  # the decoder's; the node parser stops at MAX_BODY_DEPTH
         raise ParseError("benchmark nested too deeply", where=str(path)) from None
+    try:
+        return benchmark_from_dict(data)
     except ParseError as exc:
         raise ParseError(str(exc), where=str(path)) from None
 

@@ -21,7 +21,7 @@ import json
 import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Iterator, Mapping, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence, Union
 
 from .errors import CapExceeded, CyclicDesign, ParseError
 
@@ -33,9 +33,9 @@ ENUMERATION_CAP = 10**6
 MAX_BODY_DEPTH = 256
 """Deepest composition body a design file may hold, its root being level 1.
 
-Rendering, lowering and validating a body recurse up to three interpreter
-frames per level, so a file at this depth still runs end to end under the
-default recursion limit.
+The parser is the one body walk that recurses, two interpreter frames per
+level; every other walk is ``fold_body``, which keeps its own stack. So a
+file at this depth parses well inside the default recursion limit.
 """
 
 
@@ -284,14 +284,51 @@ Violation = Union[
 ]
 
 
-def walk_calls(node: CompositionNode) -> Iterator[Call]:
-    if isinstance(node, Call):
-        yield node
-    elif isinstance(node, (Seq, Par)):
-        for child in node.children:
-            yield from walk_calls(child)
-    elif isinstance(node, Loop):
-        yield from walk_calls(node.child)
+def fold_body(body: CompositionNode, path: str | None, visit: Callable[..., Any]) -> Any:
+    """Fold a composition body bottom-up and return ``visit``'s value at the root.
+
+    ``visit(node, path, values)`` runs at every node after its children, with
+    their values in a new list (a ``Call`` gets ``()``). This is the one walk
+    over bodies. It names the children of ``Seq`` and ``Par`` "<path>/<i>"
+    and a ``Loop``'s "<path>/child"; under a ``None`` path it names nothing,
+    which spares visitors that ignore names strings as long as the body is
+    deep. It keeps its own stack, so no depth overflows the interpreter's,
+    and raises TypeError on a non-node.
+    """
+    values: list = []
+    stack: list = [(body, path, -1)]  # -1: children not pushed yet
+    while stack:
+        node, path, count = stack.pop()
+        if count >= 0:
+            cut = len(values) - count
+            child_values = values[cut:]
+            del values[cut:]
+            values.append(visit(node, path, child_values))
+        elif isinstance(node, Call):
+            values.append(visit(node, path, ()))
+        elif isinstance(node, (Seq, Par)):
+            children = node.children
+            stack.append((node, path, len(children)))
+            for i in range(len(children) - 1, -1, -1):
+                stack.append((children[i], None if path is None else f"{path}/{i}", -1))
+        elif isinstance(node, Loop):
+            stack.append((node, path, 1))
+            stack.append((node.child, None if path is None else f"{path}/child", -1))
+        else:
+            raise TypeError(f"not a composition node: {node!r}")
+    return values[0]
+
+
+def walk_calls(node: CompositionNode) -> list[Call]:
+    """Every call site of the body, in child order."""
+    calls: list[Call] = []
+
+    def visit(node: CompositionNode, path: None, values: Sequence) -> None:
+        if isinstance(node, Call):
+            calls.append(node)
+
+    fold_body(node, None, visit)
+    return calls
 
 
 def direct_callees(kernel: Kernel) -> tuple[str, ...]:
@@ -301,15 +338,14 @@ def direct_callees(kernel: Kernel) -> tuple[str, ...]:
     return tuple(sorted({c.kernel for c in walk_calls(kernel.body)}))
 
 
-def topological_order(design: Design) -> tuple[str, ...]:
-    """Kernel ids with every callee before its callers.
-
-    Depth-first from each kernel in sorted order, callees sorted, on an
-    explicit stack so that deep call chains cannot overflow the interpreter's.
-    Raises CyclicDesign naming the first kernel found on a call-graph cycle.
-    """
+def _call_graph_dfs(design: Design) -> tuple[tuple[str, ...], list[str]]:
+    """Kernel ids with every callee before its callers, and each kernel found
+    closing a call-graph cycle. Depth-first from each kernel in sorted order,
+    callees sorted and unresolved ones skipped, on an explicit stack so that
+    deep call chains cannot overflow the interpreter's."""
     finished: dict[str, bool] = {}  # False while the kernel is on the stack
     order: list[str] = []
+    cycles: list[str] = []
     for root in sorted(design.kernels):
         if root in finished:
             continue
@@ -322,12 +358,23 @@ def topological_order(design: Design) -> tuple[str, ...]:
                 stack.pop()
                 finished[kid] = True
                 order.append(kid)
+            elif callee not in design.kernels:
+                continue
             elif callee not in finished:
                 finished[callee] = False
                 stack.append((callee, iter(direct_callees(design.kernels[callee]))))
             elif not finished[callee]:
-                raise CyclicDesign(callee)
-    return tuple(order)
+                cycles.append(callee)
+    return tuple(order), cycles
+
+
+def topological_order(design: Design) -> tuple[str, ...]:
+    """``_call_graph_dfs``'s order; raises CyclicDesign naming the first
+    kernel found on a call-graph cycle."""
+    order, cycles = _call_graph_dfs(design)
+    if cycles:
+        raise CyclicDesign(cycles[0])
+    return order
 
 
 def validate(design: Design, require_variants: bool = True) -> list[Violation]:
@@ -339,26 +386,18 @@ def validate(design: Design, require_variants: bool = True) -> list[Violation]:
     """
     out: set[Violation] = set()
 
-    def check_node(node: CompositionNode, path: str) -> None:
+    def check_node(node: CompositionNode, path: str, values: Sequence) -> None:
         if isinstance(node, Call):
             if node.kernel not in design.kernels:
                 out.add(UnresolvedCall(path, node.kernel))
             if node.multiplicity < 1:
                 out.add(MalformedNode(path, f"multiplicity {node.multiplicity} < 1"))
-        elif isinstance(node, Seq):
-            for i, child in enumerate(node.children):
-                check_node(child, f"{path}/{i}")
         elif isinstance(node, Par):
             if len(node.children) < 2:
                 out.add(MalformedNode(path, f"par with {len(node.children)} children"))
-            for i, child in enumerate(node.children):
-                check_node(child, f"{path}/{i}")
         elif isinstance(node, Loop):
             if node.trip_count < 1:
                 out.add(MalformedNode(path, f"trip_count {node.trip_count} < 1"))
-            check_node(node.child, f"{path}/child")
-        else:  # pragma: no cover - unreachable with well-typed input
-            out.add(MalformedNode(path, f"unknown node {type(node).__name__}"))
 
     if design.top not in design.kernels:
         out.add(MalformedNode("top", f"top kernel {design.top!r} is not defined"))
@@ -376,29 +415,9 @@ def validate(design: Design, require_variants: bool = True) -> list[Violation]:
                 if v.area_tenths < 0 or v.latency < 0:
                     out.add(BadVariant(kid, f"negative cost in variant {v.index}"))
         if kernel.body is not None:
-            check_node(kernel.body, f"{kid}/body")
+            fold_body(kernel.body, f"{kid}/body", check_node)
 
-    # Cycle detection over the call graph: depth-first on an explicit stack,
-    # as in topological_order, but recording every cycle instead of raising.
-    finished: dict[str, bool] = {}  # False while the kernel is on the stack
-    for root in sorted(design.kernels):
-        if root in finished:
-            continue
-        finished[root] = False
-        stack = [(root, iter(direct_callees(design.kernels[root])))]
-        while stack:
-            kid, callees = stack[-1]
-            callee = next(callees, None)
-            if callee is None:
-                stack.pop()
-                finished[kid] = True
-            elif callee not in design.kernels:
-                continue
-            elif callee not in finished:
-                finished[callee] = False
-                stack.append((callee, iter(direct_callees(design.kernels[callee]))))
-            elif not finished[callee]:
-                out.add(CycleDetected(callee))
+    out.update(CycleDetected(kid) for kid in _call_graph_dfs(design)[1])
 
     # Reachability from top.
     if design.top in design.kernels:
@@ -531,16 +550,12 @@ def _node_from_dict(data: Any, where: str, depth: int = 1) -> CompositionNode:
     raise ParseError(f"unknown node kind {tag!r}", where)
 
 
-def _node_to_dict(node: CompositionNode) -> dict[str, Any]:
+def _node_to_dict(node: CompositionNode, path: None, values: list) -> dict[str, Any]:
     if isinstance(node, Call):
         return {"call": {"kernel": node.kernel, "multiplicity": node.multiplicity}}
-    if isinstance(node, Seq):
-        return {"seq": [_node_to_dict(c) for c in node.children]}
-    if isinstance(node, Par):
-        return {"par": [_node_to_dict(c) for c in node.children]}
     if isinstance(node, Loop):
-        return {"loop": {"trip_count": node.trip_count, "child": _node_to_dict(node.child)}}
-    raise TypeError(f"not a composition node: {node!r}")
+        return {"loop": {"trip_count": node.trip_count, "child": values[0]}}
+    return {"seq" if isinstance(node, Seq) else "par": values}
 
 
 def _pragma_from_dict(data: Any, where: str) -> PragmaConfig:
@@ -635,32 +650,33 @@ def design_to_dict(design: Design) -> dict[str, Any]:
             ],
         }
         if kernel.body is not None:
-            entry["body"] = _node_to_dict(kernel.body)
+            entry["body"] = fold_body(kernel.body, None, _node_to_dict)
         kernels.append(entry)
     return {"top": design.top, "kernels": kernels}
 
 
 def loads_design(text: str) -> Design:
     try:
-        return design_from_dict(json.loads(text))
-    except json.JSONDecodeError as exc:
+        data = json.loads(text)
+    except ValueError as exc:  # bad JSON, or an integer past the digit limit
         raise ParseError(f"invalid JSON: {exc}") from None
-    except RecursionError:  # the decoder's own, or the node parser's
+    except RecursionError:  # the decoder's; the node parser stops at MAX_BODY_DEPTH
         raise ParseError("design nested too deeply") from None
+    return design_from_dict(data)
 
 
 def dumps_design(design: Design) -> str:
     return json.dumps(design_to_dict(design), indent=2, sort_keys=True) + "\n"
 
 
-def node_summary(node: CompositionNode) -> str:
-    """Compact one-line rendering of a composition tree, for observations."""
+def _summary(node: CompositionNode, path: None, values: Sequence[str]) -> str:
     if isinstance(node, Call):
         return node.kernel if node.multiplicity == 1 else f"{node.kernel} x{node.multiplicity}"
-    if isinstance(node, Seq):
-        return "seq(" + ", ".join(node_summary(c) for c in node.children) + ")"
-    if isinstance(node, Par):
-        return "par(" + ", ".join(node_summary(c) for c in node.children) + ")"
     if isinstance(node, Loop):
-        return f"loop{node.trip_count}(" + node_summary(node.child) + ")"
-    raise TypeError(f"not a composition node: {node!r}")
+        return f"loop{node.trip_count}({values[0]})"
+    return ("seq(" if isinstance(node, Seq) else "par(") + ", ".join(values) + ")"
+
+
+def node_summary(node: CompositionNode) -> str:
+    """Compact one-line rendering of a composition tree, for observations."""
+    return fold_body(node, None, _summary)

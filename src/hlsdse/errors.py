@@ -23,6 +23,17 @@ class ValidationError(HlsDseError):
         super().__init__("; ".join(repr(v) for v in self.violations) or "invalid design")
 
 
+class TotalTooLarge(HlsDseError):
+    """A design's largest total area or latency is beyond what a float holds
+    exactly, so reports could not show it."""
+
+    def __init__(self, what: str, total: int, limit: int) -> None:
+        self.what = what
+        self.total = total
+        self.limit = limit
+        super().__init__(f"largest total {what} needs {total.bit_length()} bits, above {limit}")
+
+
 class CapExceeded(HlsDseError):
     """An enumeration would exceed the configured configuration cap."""
 

@@ -37,8 +37,8 @@ from .design import (
     Design,
     Loop,
     Par,
-    Seq,
     direct_callees,
+    fold_body,
 )
 from .latency import LatencyModelKind, _run_plan, eval_area, par_node_values
 
@@ -192,34 +192,28 @@ class _ModelBuilder:
         design = self.design
         kernel_exprs: dict[str, Expr] = {}
 
-        def node_expr(node: CompositionNode, path: str) -> Expr:
+        def node_expr(node: CompositionNode, path: str, exprs: list[Expr]) -> Expr:
+            expr: Expr = {}
             if isinstance(node, Call):
-                expr: Expr = {}
                 _scale_add(expr, kernel_exprs[node.kernel], node.multiplicity)
-                return expr
-            if isinstance(node, Seq) or (isinstance(node, Par) and parallel_as_sum):
-                expr = {}
-                for i, child in enumerate(node.children):
-                    _scale_add(expr, node_expr(child, f"{path}/{i}"), 1)
-                return expr
-            if isinstance(node, Par):
+            elif isinstance(node, Loop):
+                _scale_add(expr, exprs[0], node.trip_count)
+            elif isinstance(node, Par) and not parallel_as_sum:
                 aux = self.add_aux(path)
-                for i, child in enumerate(node.children):
-                    child_expr = node_expr(child, f"{path}/{i}")
+                for child_expr in exprs:
                     terms = [(1, aux)] + [(-c, v) for v, c in sorted(child_expr.items())]
                     self.constraints.append(LinearConstraint(tuple(terms), ">=", 0))
-                return {aux: 1}
-            if isinstance(node, Loop):
-                expr = {}
-                _scale_add(expr, node_expr(node.child, f"{path}/child"), node.trip_count)
-                return expr
-            raise TypeError(f"not a composition node: {node!r}")
+                expr[aux] = 1
+            else:
+                for child_expr in exprs:
+                    _scale_add(expr, child_expr, 1)
+            return expr
 
         for kid in design.order:
             kernel = design.kernels[kid]
             expr = self._self_terms(kid)
             if kernel.body is not None:
-                _scale_add(expr, node_expr(kernel.body, f"{kid}/body"), 1)
+                _scale_add(expr, fold_body(kernel.body, f"{kid}/body", node_expr), 1)
             kernel_exprs[kid] = expr
         return kernel_exprs[design.top]
 

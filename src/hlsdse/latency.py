@@ -32,9 +32,9 @@ from .design import (
     Design,
     Loop,
     Par,
-    Seq,
     configuration_space,
     direct_callees,
+    fold_body,
     tenths_to_area,
 )
 from .errors import UnsupportedModel
@@ -100,38 +100,28 @@ def lower_latency_plan(
     top = slot_of[design.top]
     par_is_max = kind is LatencyModelKind.CORRECT
 
-    def add(form: dict[int, int], other: dict[int, int], scale: int = 1) -> None:
-        for slot, coef in other.items():
-            form[slot] = form.get(slot, 0) + scale * coef
-
-    def lower(node: CompositionNode, path: str) -> dict[int, int]:
+    def lower(node: CompositionNode, path: str, forms: list[dict[int, int]]) -> dict[int, int]:
         nonlocal size
         if isinstance(node, Call):
             return {slot_of[node.kernel]: node.multiplicity}
         if isinstance(node, Loop):
-            form: dict[int, int] = {}
-            add(form, lower(node.child, f"{path}/child"), node.trip_count)
-            return form
+            return {slot: node.trip_count * coef for slot, coef in forms[0].items()}
         if isinstance(node, Par) and par_is_max:
-            forms = tuple(
-                tuple(lower(child, f"{path}/{i}").items())
-                for i, child in enumerate(node.children)
-            )
             slot, size = size, size + 1
-            steps.append((slot, path, forms))
+            steps.append((slot, path, tuple(tuple(form.items()) for form in forms)))
             return {slot: 1}
-        if isinstance(node, (Seq, Par)):
-            form = {}
-            for i, child in enumerate(node.children):
-                add(form, lower(child, f"{path}/{i}"))
-            return form
-        raise TypeError(f"not a composition node: {node!r}")
+        total: dict[int, int] = {}
+        for form in forms:
+            for slot, coef in form.items():
+                total[slot] = total.get(slot, 0) + coef
+        return total
 
     if kind in (LatencyModelKind.CORRECT, LatencyModelKind.SUM_WITH_MULTIPLIERS):
         for kid in design.order:
             body = design.kernels[kid].body
             if body is not None:
-                steps.append((slot_of[kid], None, (tuple(lower(body, f"{kid}/body").items()),)))
+                form = tuple(fold_body(body, f"{kid}/body", lower).items())
+                steps.append((slot_of[kid], None, (form,)))
     elif kind is LatencyModelKind.SUM_ALL:
         steps.append((top, None, (tuple((s, 1) for s in range(size) if s != top),)))
     elif kind is LatencyModelKind.TOP_PLUS_MAX_CHILDREN:

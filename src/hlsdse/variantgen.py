@@ -24,12 +24,14 @@ from .design import (
     Design,
     validate,
 )
-from .errors import FunctionalityBroken, ValidationError
-from .latency import EvalResult, evaluate
+from .errors import FunctionalityBroken, TotalTooLarge, ValidationError
+from .latency import EvalResult, eval_latency_given, evaluate
 from .synth import DEFAULT_MAX_VARIANTS, generate_variants
 
 MAX_GENERATION_ATTEMPTS = 3
 DEFAULT_AREA_TARGET_FRACTION = Fraction(9, 10)
+FLOAT_EXACT_LIMIT = 2**53
+"""Largest integer a float holds exactly; reports show areas and means as floats."""
 
 
 @dataclass(frozen=True)
@@ -67,8 +69,10 @@ def greedy_configuration(design: Design) -> Configuration:
 def prepare_task(skeleton: Design, max_variants: int = DEFAULT_MAX_VARIANTS) -> BottomUpResult:
     """Generate every kernel's variants and the greedy baseline; no faults drawn.
 
-    Raises CyclicDesign on call-graph cycles and ValidationError on other
-    structural problems with the skeleton.
+    Raises CyclicDesign on call-graph cycles, ValidationError on other
+    structural problems with the skeleton, and TotalTooLarge when the total
+    area of every kernel's largest variant, or the correct latency with every
+    kernel at its slowest, exceeds ``FLOAT_EXACT_LIMIT``.
     """
     violations = [
         v for v in validate(skeleton, require_variants=False)
@@ -80,6 +84,16 @@ def prepare_task(skeleton: Design, max_variants: int = DEFAULT_MAX_VARIANTS) -> 
         {kid: generate_variants(skeleton.kernels[kid].source, max_variants)
          for kid in skeleton.order}  # raises CyclicDesign on cycles
     )
+    kernels = design.kernels
+    largest = {
+        "area in tenths": sum(max(v.area_tenths for v in k.variants) for k in kernels.values()),
+        "latency": eval_latency_given(
+            design, lambda kid: max(v.latency for v in kernels[kid].variants)
+        ),
+    }
+    for what, total in largest.items():
+        if total > FLOAT_EXACT_LIMIT:
+            raise TotalTooLarge(what, total, FLOAT_EXACT_LIMIT)
     greedy = greedy_configuration(design)
     return BottomUpResult(design, greedy, evaluate(design, greedy), fault_log=())
 

@@ -166,6 +166,18 @@ def test_benchmark_from_dict_requires_a_name():
         benchmark_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [([], "benchmark must be an object"),
+     ({**benchmark_to_dict(builtin("SYN1")), "latency_formula": 3}, "must be a string")],
+    ids=["not-object", "formula-not-string"],
+)
+def test_benchmark_from_dict_rejects_a_mutated_document(data, message):
+    with pytest.raises(ParseError, match=message) as info:
+        benchmark_from_dict(data)
+    assert info.value.where is None
+
+
 def test_benchmark_from_dict_rejects_broken_structure():
     data = benchmark_to_dict(builtin("SYN1"))
     data["kernels"] = [k for k in data["kernels"] if k["id"] != "B"]
@@ -177,6 +189,14 @@ def test_load_reports_bad_json_with_path(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{oops")
     with pytest.raises(ParseError, match="broken.json"):
+        load(path)
+
+
+def test_load_turns_an_integer_past_the_digit_limit_into_a_parse_error(tmp_path):
+    data = benchmark_to_dict(builtin("SYN1"))
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(data).replace('"trip_count": 4', '"trip_count": 1' + "0" * 5000, 1))
+    with pytest.raises(ParseError, match="long.json: invalid JSON"):
         load(path)
 
 

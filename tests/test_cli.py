@@ -136,6 +136,26 @@ def test_a_body_past_the_depth_bound_is_a_parse_error(tmp_path, capsys):
     assert f"{deep}: SYN1.kernels[0]:top/body/0/0" in err
 
 
+@pytest.mark.parametrize("case", ["huge-op-count", "huge-loop"])
+def test_a_benchmark_with_huge_totals_fails_every_run_and_still_reports(tmp_path, capsys, case):
+    data = benchmark_to_dict(builtin("SYN1"))
+    if case == "huge-op-count":
+        data["kernels"][1]["source"]["op_count"] = 10**400
+    else:
+        body = data["kernels"][0]["body"]
+        data["kernels"][0]["body"] = {"loop": {"trip_count": 10**400, "child": body}}
+        data["latency_formula"] = ""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "reports"
+    assert main(["run", "--benchmark", str(path), "--reps", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    runs = [json.loads(line) for line in (out / "runs.jsonl").read_text().splitlines()]
+    assert len(runs) == 3
+    assert all("TotalTooLarge" in r["outcome"]["failure"]["detail"] for r in runs)
+    assert (out / "summary.csv").read_text().count("\nSYN1,") == 3
+
+
 def test_run_drives_an_external_policy(tmp_path, capsys, monkeypatch):
     started: list[ExternalPolicy] = []
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -22,6 +23,7 @@ from hlsdse.design import (
     Loop,
     MalformedNode,
     Par,
+    PragmaConfig,
     Seq,
     UnreachableKernel,
     UnresolvedCall,
@@ -393,6 +395,70 @@ def test_parse_rejects_bad_node_and_bad_types():
     data["kernels"][0]["body"] = {"call": {"kernel": "A", "multiplicity": True}}
     with pytest.raises(ParseError, match="expected an integer"):
         design_from_dict(data)
+
+
+def _set(*keys_and_value):
+    """A mutation of a ``full_featured_design`` document: set one field."""
+    *keys, last, value = keys_and_value
+
+    def mutate(data):
+        for key in keys:
+            data = data[key]
+        data[last] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, message, where",
+    [
+        (_set("kernels", 1, "source", []), "expected an object", "design.kernels[1].source"),
+        (_set("kernels", 1, "source", "op_count", 0), "below minimum 1",
+         "design.kernels[1].source.op_count"),
+        (_set("kernels", 0, "variants", 0, "area", "10"), "expected a number",
+         "design.kernels[0].variants[0].area"),
+        (_set("kernels", 0, "source", "base_area", -1), "negative",
+         "design.kernels[0].source.base_area"),
+        (_set("kernels", 0, "body", {"call": {"kernel": 3}}), "kernel id must be a string",
+         "design.kernels[0]:top/body"),
+        (_set("kernels", 0, "body", {"seq": {}}), "seq payload must be a list",
+         "design.kernels[0]:top/body"),
+        (_set("kernels", 0, "body", {"par": "AB"}), "par payload must be a list",
+         "design.kernels[0]:top/body"),
+        (_set("kernels", 1, "id", ""), "non-empty string", "design.kernels[1]"),
+        (_set("kernels", 1, "variants", {}), "variants must be a list",
+         "design.kernels[1].variants"),
+        (_set("top", 1), "top must be a string", "design"),
+        (_set("kernels", {}), "kernels must be a list", "design"),
+    ],
+    ids=["not-object", "below-minimum", "area-not-number", "negative-area",
+         "call-kernel-not-string", "seq-not-list", "par-not-list", "empty-id",
+         "variants-not-list", "top-not-string", "kernels-not-list"],
+)
+def test_parse_rejects_a_mutated_document(mutate, message, where):
+    data = design_to_dict(full_featured_design())
+    mutate(data)
+    with pytest.raises(ParseError, match=message) as info:
+        design_from_dict(data)
+    assert info.value.where == where
+
+
+def test_a_pipelined_variant_round_trips():
+    design = full_featured_design()
+    pipelined = KernelVariant(1, 70, 9, PragmaConfig(unroll=4, ii=1))
+    kernels = dict(design.kernels)
+    kernels["A"] = replace(kernels["A"], variants=kernels["A"].variants + (pipelined,))
+    design = Design(kernels=kernels, top="top")
+    text = dumps_design(design)
+    assert '"ii": 1' in text and '"unroll": 4' in text
+    assert loads_design(text) == design
+
+
+def test_loads_design_rejects_an_integer_past_the_digit_limit():
+    text = dumps_design(full_featured_design())
+    text = text.replace('"trip_count": 3', '"trip_count": 1' + "0" * 5000)
+    with pytest.raises(ParseError, match="invalid JSON"):
+        loads_design(text)
 
 
 @pytest.mark.parametrize("area", [float("inf"), 10**400], ids=["inf", "huge-int"])

@@ -13,16 +13,19 @@ from hlsdse.design import (
     KernelSource,
     KernelVariant,
     call,
+    loop,
     validate,
 )
-from hlsdse.errors import CyclicDesign, FunctionalityBroken, ValidationError
+from hlsdse.errors import CyclicDesign, FunctionalityBroken, TotalTooLarge, ValidationError
 from hlsdse.latency import evaluate
 from hlsdse.synth import generate_variants
 from hlsdse.variantgen import (
+    FLOAT_EXACT_LIMIT,
     FaultEvent,
     derive_area_target,
     greedy_configuration,
     optimize_bottom_up,
+    prepare_task,
 )
 
 SOURCE = KernelSource(0, 1, 1, 0, 0)
@@ -119,6 +122,31 @@ def test_bottom_up_rejects_cyclic_call_graphs():
 
 # ---------------------------------------------------------------------------
 # Fault injection
+
+
+def _totals_skeleton(area_tenths: int, trip: int) -> Design:
+    """Largest total area ``area_tenths``; slowest latency ``1 + trip``."""
+    kernels = {
+        "top": Kernel("top", SOURCE, (), loop(trip, call("A"))),
+        "A": Kernel("A", KernelSource(0, 1, 1, area_tenths, 0), ()),
+    }
+    return Design(kernels=kernels, top="top")
+
+
+def test_totals_up_to_the_float_exact_limit_are_accepted():
+    task = prepare_task(_totals_skeleton(FLOAT_EXACT_LIMIT, FLOAT_EXACT_LIMIT - 1))
+    assert task.baseline.area_tenths == FLOAT_EXACT_LIMIT
+    assert task.baseline.latency == FLOAT_EXACT_LIMIT
+
+
+@pytest.mark.parametrize(
+    "area, trip, what",
+    [(FLOAT_EXACT_LIMIT + 1, 1, "area"), (10, FLOAT_EXACT_LIMIT, "latency")],
+    ids=["area", "latency"],
+)
+def test_totals_past_the_float_exact_limit_are_rejected(area, trip, what):
+    with pytest.raises(TotalTooLarge, match=what):
+        prepare_task(_totals_skeleton(area, trip))
 
 
 def test_certain_faults_break_generation_after_three_attempts():
