@@ -666,7 +666,10 @@ def loads_design(text: str) -> Design:
 
 
 def dumps_design(design: Design) -> str:
-    return json.dumps(design_to_dict(design), indent=2, sort_keys=True) + "\n"
+    try:
+        return json.dumps(design_to_dict(design), indent=2, sort_keys=True) + "\n"
+    except RecursionError:  # the encoder's, on a body no file may hold (MAX_BODY_DEPTH)
+        raise ParseError("design nested too deeply") from None
 
 
 def _summary(node: CompositionNode, path: None, values: Sequence[str]) -> str:

@@ -13,33 +13,35 @@ its area counted, once.
 
 That holds for a kernel the plan reaches along one path. Kernels reached
 along more than one (and so every kernel below one) are *shared*: they are
-branched on outside the combination, depth first in sorted id order. A
-branch, one variant per shared kernel, turns them into single points of area
-0 and adds their areas once to the branch's top front. Kernels the top never
-reaches add their smallest area.
+branched on outside the combination, depth first in sorted id order. Fixing
+a kernel at a variant makes it the single point (area 0, its latency) and
+moves its area into a running total outside the top front. Until a shared
+kernel is fixed it is relaxed to the point (area 0, its least latency), with
+its least area in the total; each step is monotone, so this front dominates
+every branch below the node. Kernels the top never reaches add their least
+area.
 
-The search looks for the least (latency, area) point within an area target,
-and skips a subtree whose relaxed front cannot reach the best point found so
-far. The relaxation turns every shared kernel not yet branched on into the
-point (area 0, its least latency) and adds its least area once: each step is
-monotone, so this front dominates every branch below the node.
+One search serves the optimum and its recovery. It finds the least
+(latency, area) point within an area target that is strictly below a bar,
+and prunes a subtree whose relaxed bound is not below the bar, so a tie is
+pruned too. The optimum is the search with no bar.
 
 This is the compositional exploration of Liu, Petracca & Carloni
 ("Compositional System-Level Design Exploration with Planning of High-Level
 Synthesis", DATE 2012), made exact: a point's configuration is recovered
-under the documented tie-break by fixing kernels in sorted id order, smallest
-index first, and keeping an index when the restricted fronts still reach the
-point. Only fronts that read the fixed kernel are recomputed.
+under the documented tie-break by fixing every kernel, shared or not, in
+sorted id order, smallest index first. An index is kept when the search over
+the shared kernels not yet fixed, with the bar just above the point, still
+reaches it. Only fronts that read the fixed kernel are recomputed.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from math import prod
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
-from .design import ENUMERATION_CAP, Configuration, Design
+from .design import ENUMERATION_CAP, Configuration, Design, KernelVariant
 from .errors import CapExceeded
 from .latency import (
     EvalResult,
@@ -115,49 +117,6 @@ def _run(steps: tuple[Step, ...], own: list[Front], values: list, changed: Optio
         values[slot] = _add(own[slot], parts[0]) if path is None else _par(parts)
 
 
-@dataclass(frozen=True)
-class DesignFront:
-    """The best point within an area target under one latency model, and
-    what recovery reads.
-
-    ``point`` is the least (latency, area) point within the target, as
-    (area, latency), or None when nothing fits. ``sources`` lists the
-    branches reaching it, each as the variant indices of the ``shared``
-    kernels. ``steps`` are the plan's steps the top reaches; ``loose`` are
-    the kernels it does not reach. ``branches`` counts the branches searched
-    to the end.
-    """
-
-    kind: LatencyModelKind
-    point: Optional[Point]
-    sources: tuple[tuple[int, ...], ...]
-    shared: tuple[str, ...]
-    loose: tuple[str, ...]
-    steps: tuple[Step, ...]
-    branches: int
-
-
-def _own_fronts(design: Design, allowed: dict[str, list[int]]) -> list[Front]:
-    kernels = design.kernels
-    return [
-        _prune((kernels[kid].variants[i].area_tenths, kernels[kid].variants[i].latency)
-               for i in allowed[kid])
-        for kid in design.order
-    ]
-
-
-def _fix_shared(design: Design, shared: list[tuple[str, int]], combo: tuple[int, ...],
-                own: list[Front], values: list) -> int:
-    """Make each shared (kernel, slot) the single point ``combo`` picks;
-    returns the shared kernels' area."""
-    area = 0
-    for (kid, slot), index in zip(shared, combo):
-        variant = design.kernels[kid].variants[index]
-        own[slot] = values[slot] = [(0, variant.latency)]
-        area += variant.area_tenths
-    return area
-
-
 def _paths(plan: LatencyPlan) -> list[int]:
     """The number of plan paths from the top to each slot."""
     paths = [0] * plan.size
@@ -169,146 +128,167 @@ def _paths(plan: LatencyPlan) -> list[int]:
     return paths
 
 
-def _compose(design: Design, kind: LatencyModelKind, target: int) -> DesignFront:
-    """The least (latency, area) point within ``target``, with every branch
-    reaching it."""
-    kernels = design.kernels
-    if not all(k.variants for k in kernels.values()):
-        raise ValueError("design has a kernel with no variants; nothing to compose")
-    plan = design.plan(kind)
-    paths = _paths(plan)
-    reach = {kid: paths[i] for i, kid in enumerate(design.order)}
-    shared = tuple(kid for kid in sorted(kernels) if reach[kid] > 1)
-    loose = tuple(kid for kid in sorted(kernels) if not reach[kid])
-    steps = tuple(step for step in plan.steps if paths[step[0]])
+def _shared(design: Design, kind: LatencyModelKind) -> tuple[str, ...]:
+    """The kernels the plan reaches along more than one path, in sorted id
+    order: the search branches on them."""
+    paths = _paths(design.plan(kind))
+    return tuple(sorted(kid for kid, n in zip(design.order, paths) if n > 1))
 
-    slot_of = {kid: i for i, kid in enumerate(design.order)}
-    least_area = {kid: min(v.area_tenths for v in kernels[kid].variants) for kid in kernels}
-    own = _own_fronts(design, {kid: range(len(k.variants)) for kid, k in kernels.items()})
-    # The relaxation: a shared kernel not branched on yet is its least latency
-    # at area 0, and its least area is added once (to ``area`` below).
-    for kid in shared:
-        own[slot_of[kid]] = [(0, min(v.latency for v in kernels[kid].variants))]
-    values: list = own + [None] * (plan.size - len(own))
-    _run(steps, own, values, None)
 
-    found: list[tuple[int, ...]] = []  # the branches reaching ``best``
-    best: Optional[Point] = None  # the least (latency, area) so far
-    combo: list[int] = []
-    branches = 0
+class _Fronts:
+    """The plan's fronts over some options per kernel, with every shared
+    kernel relaxed until it is fixed.
 
-    def bound(values: list, area: int) -> Optional[Point]:
-        """The least (latency, area) within the target, or None."""
-        top = values[plan.top]
+    ``values`` holds the fronts and ``area`` the area outside the top front.
+    A relaxed shared kernel is the point (area 0, its least latency), with its
+    least area in ``area``; a kernel the plan never reaches is its least area.
+    ``own`` holds the kernels' own fronts on the current branch, and
+    ``branches`` counts the searches that end past the last shared kernel.
+    """
+
+    def __init__(self, design: Design, kind: LatencyModelKind,
+                 options: dict[str, Sequence[int]]):
+        kernels = design.kernels
+        self.design, self.options, self.plan = design, options, design.plan(kind)
+        paths = _paths(self.plan)
+        self.steps = tuple(step for step in self.plan.steps if paths[step[0]])
+        self.shared = _shared(design, kind)
+        self.slot = {kid: i for i, kid in enumerate(design.order)}
+        self.own: list[Front] = []
+        self.counted: dict[str, int] = {}  # each kernel's area in the total until fixed
+        for kid, reach in zip(design.order, paths):
+            variants = [kernels[kid].variants[i] for i in options[kid]]
+            if reach == 1:
+                self.own.append(_prune((v.area_tenths, v.latency) for v in variants))
+                self.counted[kid] = 0
+            else:
+                self.own.append([(0, min(v.latency for v in variants))])
+                self.counted[kid] = min(v.area_tenths for v in variants)
+        self.values: list = self.own + [None] * (self.plan.size - len(self.own))
+        _run(self.steps, self.own, self.values, None)
+        self.area = sum(self.counted.values())
+        self.branches = 0
+
+    def fix(self, values: list, area: int, kid: str, index: int) -> tuple[list, int]:
+        """The fronts and total with ``kid`` fixed at ``index``: its own front
+        becomes (0, its latency) and its area moves into the total. ``values``
+        must be computed from ``own``, which is left at the fixed point."""
+        variant = self.design.kernels[kid].variants[index]
+        slot, point = self.slot[kid], [(0, variant.latency)]
+        if point != self.own[slot]:
+            self.own[slot] = point
+            values = list(values)
+            values[slot] = point
+            _run(self.steps, self.own, values, {slot})
+        return values, area + variant.area_tenths - self.counted[kid]
+
+    def bound(self, values: list, area: int, target: int) -> Optional[Point]:
+        """The least (latency, area) on the top front within ``target``, or None."""
+        top = values[self.plan.top]
         within = bisect_right(top, (target - area, float("inf")))
         if not within:
             return None
         point_area, latency = top[within - 1]
         return latency, point_area + area
 
-    def descend(values: list, area: int, key: Optional[Point]) -> None:
-        nonlocal best, branches
-        if key is None or (best is not None and key > best):
-            return  # an equal key may still reach the point with a smaller branch
-        if len(combo) == len(shared):
-            branches += 1
-            if best is None or key < best:
-                best, found[:] = key, [tuple(combo)]
-            else:
-                found.append(tuple(combo))
-            return
-        kid = shared[len(combo)]
-        slot = slot_of[kid]
-        relaxed = own[slot]
-        children = []
-        for index, variant in enumerate(kernels[kid].variants):
-            point = [(0, variant.latency)]
-            child = values
-            if point != relaxed:
-                own[slot] = point
-                child = list(values)
-                child[slot] = point
-                _run(steps, own, child, {slot})
-            child_area = area + variant.area_tenths - least_area[kid]
-            key = bound(child, child_area)
-            if key is not None:
-                children.append((key, index, point, child, child_area))
-        children.sort(key=lambda c: c[:2])  # the most promising first, for an early incumbent
-        for key, index, point, child, child_area in children:
-            own[slot] = point
-            combo.append(index)
-            descend(child, child_area, key)
-            combo.pop()
+
+def _search(fronts: _Fronts, values: list, area: int, depth: int, target: int,
+            bar: Optional[Point], first: bool = False) -> Optional[Point]:
+    """The least (latency, area) point within ``target`` and strictly below
+    ``bar``, branching on the shared kernels from ``depth`` on, or None; with
+    ``first``, the first such point found.
+
+    A child whose bound is not below the bar is pruned, so a tie is too. The
+    most promising child goes first, for an early bar.
+    """
+    key = fronts.bound(values, area, target)
+    if key is None or (bar is not None and key >= bar):
+        return None
+    if depth == len(fronts.shared):
+        fronts.branches += 1
+        return key
+    kid = fronts.shared[depth]
+    slot, own = fronts.slot[kid], fronts.own
+    relaxed = own[slot]
+    children = []
+    for index in fronts.options[kid]:
+        child, child_area = fronts.fix(values, area, kid, index)
+        key = fronts.bound(child, child_area, target)
+        if key is not None:  # fix left the child's point in own[slot]
+            children.append((key, index, child, child_area, own[slot]))
         own[slot] = relaxed
+    children.sort(key=lambda c: c[:2])
+    best = None
+    for _, _, child, child_area, point in children:
+        own[slot] = point
+        found = _search(fronts, child, child_area, depth + 1, target, bar, first)
+        if found is not None:
+            best = bar = found
+            if first:
+                break
+    own[slot] = relaxed
+    return best
 
-    area = sum(least_area[kid] for kid in shared + loose)
-    descend(values, area, bound(values, area))
-    point = None if best is None else (best[1], best[0])
-    return DesignFront(kind, point, tuple(found), shared, loose, steps, branches)
+
+def _compose(design: Design, kind: LatencyModelKind, target: int) -> tuple[Optional[Point], int]:
+    """The least (latency, area) point within ``target`` as (area, latency),
+    or None, and the branches searched to the end."""
+    kernels = design.kernels
+    if not all(k.variants for k in kernels.values()):
+        raise ValueError("design has a kernel with no variants; nothing to compose")
+    fronts = _Fronts(design, kind, {kid: range(len(k.variants)) for kid, k in kernels.items()})
+    key = _search(fronts, fronts.values, fronts.area, 0, target, None)
+    return (None if key is None else (key[1], key[0])), fronts.branches
 
 
-def _recover(design: Design, front: DesignFront) -> Configuration:
-    """The lexicographically smallest configuration at ``front.point``."""
-    area_goal, latency_goal = front.point
-    kernels, plan = design.kernels, design.plan(front.kind)
+def _recover(design: Design, kind: LatencyModelKind, point: Point) -> Configuration:
+    """The lexicographically smallest configuration at ``point``, the
+    optimum within its own area."""
+    area_goal, latency_goal = point
+    kernels, plan = design.kernels, design.plan(kind)
+    slot_of = {kid: i for i, kid in enumerate(design.order)}
     smallest = {kid: min(v.area_tenths for v in k.variants) for kid, k in kernels.items()}
     floor = sum(smallest.values())  # the least area left open by the choices so far
-    # Any configuration at the point leaves every kernel within the slack.
-    slack = area_goal - floor
-    allowed = {
-        kid: [i for i, v in enumerate(k.variants) if v.area_tenths - smallest[kid] <= slack]
-        for kid, k in kernels.items()
-    }
-    own = _own_fronts(design, allowed)
-    fastest = [points[-1][1] for points in own]  # per slot: the latency bound's input
-    loose_area = sum(smallest[kid] for kid in front.loose)
-    slots = [(kid, design.order.index(kid)) for kid in front.shared]
+    fastest = [min(v.latency for v in kernels[kid].variants) for kid in design.order]
 
-    def fits(values: list, area: int) -> bool:
-        latency = None
-        for a, lat in values[plan.top]:
-            if a + area > area_goal:
-                break
-            latency = lat
-        return latency is not None and latency <= latency_goal
+    def fits(kid: str, variant: KernelVariant, latency: bool = True) -> bool:
+        """Cheap bounds: the least area and latency still open, with ``kid``
+        at ``variant``, are within the point."""
+        if floor + variant.area_tenths - smallest[kid] > area_goal:
+            return False
+        if not latency:
+            return True
+        latencies = list(fastest)
+        latencies[slot_of[kid]] = variant.latency
+        return _run_plan(plan, latencies) <= latency_goal
 
-    states = []  # (branch, fronts, shared and loose area) that still reach the point
-    for combo in front.sources:
-        values = own + [None] * (plan.size - len(own))
-        area = _fix_shared(design, slots, combo, own, values)
-        _run(front.steps, own, values, None)
-        states.append((combo, values, area + loose_area))
+    # Every configuration at the point holds only variants that fit now. The
+    # search branches on the shared kernels, so their latency is bounded too;
+    # the others meet that bound when they are fixed.
+    shared = _shared(design, kind)
+    allowed = {kid: [i for i, v in enumerate(k.variants) if fits(kid, v, kid in shared)]
+               for kid, k in kernels.items()}
+    fronts = _Fronts(design, kind, allowed)
+    values, area = fronts.values, fronts.area
+    fastest = [front[-1][1] for front in fronts.own]
+    bar = (latency_goal, area_goal + 1)  # only the point itself is below it
 
     choice: dict[str, int] = {}
     for kid in sorted(kernels):
-        options, slot = allowed[kid], design.order.index(kid)
-        if kid in front.shared:
-            at = front.shared.index(kid)
-            choice[kid] = min(state[0][at] for state in states)
-            states = [state for state in states if state[0][at] == choice[kid]]
-        elif kid in front.loose:
-            choice[kid] = min(options, key=lambda i: (kernels[kid].variants[i].area_tenths, i))
-        elif len(options) == 1:
+        options, slot = allowed[kid], slot_of[kid]
+        if len(options) == 1:  # its front already is that one point
             choice[kid] = options[0]
         else:
+            depth = bisect_right(fronts.shared, kid)  # the shared kernels still open
+            before = fronts.own[slot]
             for index in options:
-                variant = kernels[kid].variants[index]
-                fastest[slot] = variant.latency
-                # Cheap bounds first: the least area and latency still open.
-                if (floor + variant.area_tenths - smallest[kid] > area_goal
-                        or _run_plan(plan, fastest) > latency_goal):
+                if not fits(kid, kernels[kid].variants[index]):
                     continue
-                own[slot] = [(variant.area_tenths, variant.latency)]
-                kept = []
-                for combo, values, area in states:
-                    values = list(values)
-                    values[slot] = own[slot]
-                    _run(front.steps, own, values, {slot})
-                    if fits(values, area):
-                        kept.append((combo, values, area))
-                if kept:
-                    choice[kid], states = index, kept
+                child, child_area = fronts.fix(values, area, kid, index)
+                if _search(fronts, child, child_area, depth, area_goal, bar, True):
+                    choice[kid], values, area = index, child, child_area
                     break
+                fronts.own[slot] = before
         variant = kernels[kid].variants[choice[kid]]
         fastest[slot] = variant.latency
         floor += variant.area_tenths - smallest[kid]
@@ -324,10 +304,10 @@ def best_within(
     Returns (configuration, (area, latency), branches searched), or None
     when nothing fits. Nothing is cached on the design but its plan.
     """
-    front = _compose(design, kind, area_target_tenths)
-    if front.point is None:
+    point, branches = _compose(design, kind, area_target_tenths)
+    if point is None:
         return None
-    return _recover(design, front), front.point, front.branches
+    return _recover(design, kind, point), point, branches
 
 
 def front_optimum(design: Design, area_target_tenths: int) -> OracleReport:
@@ -343,8 +323,7 @@ def front_optimum(design: Design, area_target_tenths: int) -> OracleReport:
     if report is not None:
         return report
     kernels = design.kernels
-    paths = _paths(design.plan(LatencyModelKind.CORRECT))
-    count = prod(len(kernels[kid].variants) for i, kid in enumerate(design.order) if paths[i] > 1)
+    count = prod(len(kernels[kid].variants) for kid in _shared(design, LatencyModelKind.CORRECT))
     if count > ENUMERATION_CAP:
         raise CapExceeded(count, ENUMERATION_CAP)
 

@@ -13,7 +13,7 @@ ConstrainedArea model is answered on the composed (area, latency) front of
 its latency model (``front.best_within``): kernels reached along one path of
 the model's plan combine as fronts, and kernels reached along more than one
 are searched depth first, skipping a subtree whose relaxed front cannot
-reach the best point found so far. A Lagrangian model, whose
+beat the best point found so far. A Lagrangian model, whose
 ``|area - target|`` term can favour a larger area, is solved by branch and
 bound over the one-hot groups: kernels are branched in descending
 variant-count order and a subtree is pruned when an admissible bound (the

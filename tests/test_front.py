@@ -26,7 +26,7 @@ from hlsdse.design import (
     seq,
 )
 from hlsdse.errors import CapExceeded
-from hlsdse.front import _compose, best_within, front_optimum
+from hlsdse.front import _paths, _shared, best_within, front_optimum
 from hlsdse.ilp import ConstrainedArea, build_model, solve
 from hlsdse.latency import LatencyModelKind, brute_force_optimum, evaluate
 from hlsdse.variantgen import derive_area_target, optimize_bottom_up
@@ -64,9 +64,9 @@ def reaches_pareto(design: Design) -> bool:
     return tuple(best_within(design, CORRECT, area)[1] for area, _ in points) == points
 
 
-def composed(design: Design):
-    """The search's result at the design's largest area."""
-    return _compose(design, CORRECT, targets(design)[-1])
+def shared(design: Design) -> tuple[str, ...]:
+    """The kernels the search branches on under the correct model."""
+    return _shared(design, CORRECT)
 
 
 @pytest.mark.parametrize("name", builtin_names())
@@ -107,8 +107,8 @@ def test_front_oracle_matches_enumeration_on_trees_and_dags(seed, second_caller,
 
 
 def test_shared_kernels_are_those_reached_by_more_than_one_call_path():
-    assert composed(optimize_bottom_up(builtin("SYN5").skeleton).design).shared == ("A",)
-    assert composed(optimize_bottom_up(builtin("SYN4").skeleton).design).shared == ()
+    assert shared(optimize_bottom_up(builtin("SYN5").skeleton).design) == ("A",)
+    assert shared(optimize_bottom_up(builtin("SYN4").skeleton).design) == ()
     # B is called once, but from A, which has two call sites; C is called
     # twice from one site (a multiplicity), so it is not shared.
     two = variants((10, 5), (20, 3))
@@ -119,7 +119,7 @@ def test_shared_kernels_are_those_reached_by_more_than_one_call_path():
         "C": Kernel("C", SOURCE, two),
     }
     design = Design(kernels=kernels, top="top")
-    assert composed(design).shared == ("A", "B")
+    assert shared(design) == ("A", "B")
     for target in targets(design):
         assert front_optimum(design, target) == brute_force_optimum(design, target)
 
@@ -134,7 +134,8 @@ def test_ties_and_unreached_kernels_follow_the_documented_tie_break():
         "unreached": Kernel("unreached", SOURCE, variants((7, 1), (5, 9), (5, 2))),
     }
     design = Design(kernels=kernels, top="top")
-    assert composed(design).loose == ("unreached",)
+    paths = _paths(design.plan(CORRECT))
+    assert [kid for kid, n in zip(design.order, paths) if not n] == ["unreached"]
     lo, _, hi = targets(design)
     for target in range(lo - 1, hi + 1):
         assert front_optimum(design, target) == brute_force_optimum(design, target)
@@ -188,6 +189,24 @@ def test_shared_branches_over_the_cap_raise_before_any_work():
         front_optimum(Design(kernels=kernels, top="top"), 1000)
 
 
+def test_shared_ties_end_the_search_at_one_branch():
+    # The shape above, smaller: 4 leaves and 3 variants, 3**6 configurations.
+    # Nearly every branch ties the best point; recovery breaks the ties.
+    three = variants(*((10 * (i + 1), 10 - i) for i in range(3)))
+    inner = [f"s{i}" for i in range(4)]
+    kernels = {kid: Kernel(kid, SOURCE, three) for kid in inner}
+    kernels["S"] = Kernel("S", SOURCE, three, seq(*(call(kid) for kid in inner)))
+    kernels["top"] = Kernel("top", SOURCE, three, par(call("S"), seq(call("S"))))
+    design = Design(kernels=kernels, top="top")
+    areas = sorted({evaluate(design, c).area_tenths for c in enumerate_configurations(design)})
+    assert areas == list(range(60, 181, 10))
+    for area in areas:
+        config, point, branches = best_within(design, CORRECT, area)
+        best_config, result = brute_force_optimum(design, area).best_feasible
+        assert (config, point) == (best_config, (result.area_tenths, result.latency))
+        assert branches == 1
+
+
 def test_front_requires_variants():
     design = Design(kernels={"top": Kernel("top", SOURCE, ())}, top="top")
     with pytest.raises(ValueError, match="no variants"):
@@ -201,8 +220,8 @@ def test_random_design_draws_are_unchanged_without_second_callers():
     assert digest.hexdigest() == (
         "ab262efe502ebc607f186d07d5fe04293d0b0e05b4eb3c7a89e56284792f309f"
     )
-    shared = [
-        bool(composed(random_design(random.Random(seed), second_caller=0.5)).shared)
+    drawn = [
+        bool(shared(random_design(random.Random(seed), second_caller=0.5)))
         for seed in range(100)
     ]
-    assert any(shared) and not all(shared)
+    assert any(drawn) and not all(drawn)

@@ -373,7 +373,7 @@ def test_area_capped_search_skips_shared_branches():
     design = Design(kernels=kernels, top="top")
     lo = eval_area(design, Configuration.from_mapping({kid: 0 for kid in kernels}))
     hi = eval_area(design, Configuration.from_mapping({kid: 3 for kid in kernels}))
-    assert front._compose(design, LatencyModelKind.CORRECT, hi).shared == tuple(shared)
+    assert front._shared(design, LatencyModelKind.CORRECT) == tuple(shared)
     for target in (lo, (2 * lo + hi) // 3, (lo + 2 * hi) // 3, hi):
         config, (area, latency), branches = front.best_within(
             design, LatencyModelKind.CORRECT, target
@@ -385,8 +385,8 @@ def test_area_capped_search_skips_shared_branches():
 
 def test_area_capped_ties_across_shared_branches_take_the_smaller_configuration():
     # s is shared; (a=1, s=0) and (a=0, s=1) both reach area 30 and latency
-    # 10, in different branches. The branch s=0 is searched first, and the
-    # branch s=1 must still be searched: it holds the smaller configuration.
+    # 10, in different branches. The search keeps only the first branch it
+    # ends at; recovery fixes a before s and so finds the smaller one.
     two = (KernelVariant(0, 10, 5), KernelVariant(1, 20, 4))
     kernels = {
         "top": Kernel("top", SOURCE, (KernelVariant(0, 0, 1),),

@@ -11,6 +11,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import pytest
+
 from hlsdse.agent import IlpFirstPolicy, OraclePolicy, TrialAndErrorPolicy, run
 from hlsdse.design import (
     Call,
@@ -22,10 +24,12 @@ from hlsdse.design import (
     Par,
     Seq,
     design_to_dict,
+    dumps_design,
     node_summary,
     validate,
     walk_calls,
 )
+from hlsdse.errors import ParseError
 from hlsdse.ilp import ConstrainedArea, Lagrangian, build_model, solve
 from hlsdse.latency import LatencyModelKind, brute_force_optimum, evaluate
 
@@ -82,10 +86,16 @@ def test_a_deep_body_runs_through_every_layer():
         assert run(policy(), deep, 50)[0] == run(policy(), flat, 50)[0], policy
 
 
+def test_dumping_a_body_too_deep_for_the_encoder_is_a_parse_error():
+    with pytest.raises(ParseError, match="nested too deeply"):
+        dumps_design(_design(_body(padded=True)))
+    assert dumps_design(_design(_body(padded=False))).startswith("{")
+
+
 # Self-recursive functions allowed in the package, by qualified name.
 ALLOWED = {
     ("design.py", "_node_from_dict"): "walks JSON; MAX_BODY_DEPTH bounds it",
-    ("front.py", "_compose.descend"): "recurses once per shared kernel, not per body level",
+    ("front.py", "_search"): "recurses once per shared kernel, not per body level",
     ("ilp.py", "_lagrangian_search.visit"): "recurses once per kernel, not per body level",
 }
 
