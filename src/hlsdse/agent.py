@@ -50,8 +50,10 @@ from .variantgen import greedy_configuration
 # Consecutive invalid actions tolerated before the run is abandoned.
 INVALID_ACTION_LIMIT = 3
 
-# Fraction by which IlpFirstPolicy widens an infeasible area target.
+# Fraction by which IlpFirstPolicy widens an infeasible area target, and how
+# many times it does so before falling back to the greedy baseline.
 RELAX_STEP = 0.5
+MAX_RELAX_RETRIES = 10
 
 # Longest line read from an external policy; a longer one ends its output.
 MAX_ACTION_LINE_BYTES = 1 << 20
@@ -627,8 +629,8 @@ class IlpFirstPolicy(Policy):
     One Synthesize of the per-kernel lowest-latency configuration, one
     SolveIlp at the session target, then Select the solver's answer. An
     infeasible outcome widens the target by ``RELAX_STEP`` (half), up to
-    ``max_relax_retries`` times; if every attempt stays infeasible the greedy
-    baseline is selected.
+    ``MAX_RELAX_RETRIES`` (10) times; if every attempt stays infeasible the
+    greedy baseline is selected.
     The latency model is injectable so that a deliberately wrong internal
     model can drive the same script.
     """
@@ -638,14 +640,12 @@ class IlpFirstPolicy(Policy):
         latency_model: LatencyModelKind = LatencyModelKind.CORRECT,
         objective_mode: str = "constrained",
         alpha: Union[int, float, Fraction] = 1,
-        max_relax_retries: int = 10,
     ) -> None:
         if objective_mode not in ("constrained", "lagrangian"):
             raise ValueError(f"unknown objective mode {objective_mode!r}")
         self.latency_model = latency_model
         self.objective_mode = objective_mode
         self.alpha = alpha
-        self.max_relax_retries = max_relax_retries
         self._synthesized = False
         self._retries = 0
 
@@ -676,7 +676,7 @@ class IlpFirstPolicy(Policy):
             if solution.status is SolveStatus.OPTIMAL:
                 assert solution.configuration is not None
                 return Select(solution.configuration)
-            if self._retries >= self.max_relax_retries:
+            if self._retries >= MAX_RELAX_RETRIES:
                 return Select(self._greedy)
             self._retries += 1
             self._target = relax_target(self._target, RELAX_STEP)

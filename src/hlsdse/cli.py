@@ -24,7 +24,7 @@ from .agent import (
 )
 from .bench import Benchmark, builtin, builtin_names, call_count, kernel_count
 from .design import tenths_to_area
-from .errors import EmptyInput, HlsDseError, UnknownBenchmark
+from .errors import CapExceeded, EmptyInput, HlsDseError, UnknownBenchmark
 from .experiment import (
     PolicySpec,
     load_records,
@@ -176,7 +176,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         objective = ConstrainedArea(target)
     model = build_model(result.design, objective, LatencyModelKind(args.latency_model))
     solution = solve(model)
-    oracle = brute_force_optimum(result.design, target)
 
     def show(config) -> str:
         return " ".join(f"{kid}={idx}" for kid, idx in config.items)
@@ -193,6 +192,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             f"area={tenths_to_area(solution.predicted_area_tenths)}"
         )
         print(f"ilp evaluated: latency={true_eval.latency} area={true_eval.area}")
+    try:
+        oracle = brute_force_optimum(result.design, target)
+    except CapExceeded as exc:
+        print(f"oracle: skipped ({exc})")
+        return 0
     if oracle.best_feasible is None:
         config, evaluation = oracle.min_area
         print("oracle: no feasible configuration")

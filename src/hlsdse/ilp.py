@@ -1,11 +1,13 @@
 """Variant selection as an integer linear program, with an exact solver.
 
-``build_model`` lowers a design into a declarative model: one binary
-selection variable per (kernel, variant) with one-hot constraints per kernel,
-auxiliary max variables for parallel sections (lower-bounded by each branch,
-pulled tight by minimization), and either an area-cap constraint
+``build_model`` reads a declarative model off the latency model's plan
+(``Design.plan``): one binary selection variable per (kernel, variant) with
+one-hot constraints per kernel, the plan's linear forms over those
+variables, one auxiliary variable per max step (lower-bounded by each of its
+forms, pulled tight by minimization), and either an area-cap constraint
 (ConstrainedArea mode) or a slack pair linearizing |area - target|
-(Lagrangian mode).
+(Lagrangian mode). What each latency model means is said once, in
+``latency.lower_latency_plan``.
 
 ``solve`` finds the exact optimum without an LP relaxation or a big-M
 constant; all arithmetic is exact (areas are integer tenths). A
@@ -30,17 +32,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Union
 
-from .design import (
-    Call,
-    CompositionNode,
-    Configuration,
-    Design,
-    Loop,
-    Par,
-    direct_callees,
-    fold_body,
-)
-from .latency import LatencyModelKind, _run_plan, eval_area, par_node_values
+from .design import Configuration, Design
+from .latency import LatencyModelKind, LinearForm, _run_plan, eval_area, par_node_values
 
 
 class VarKind(Enum):
@@ -152,88 +145,44 @@ def _scale_add(dst: Expr, src: Expr, factor: int) -> None:
         dst[var] = dst.get(var, 0) + factor * coef
 
 
-class _ModelBuilder:
-    def __init__(self, design: Design) -> None:
-        self.design = design
-        self.variables: list[IlpVariable] = []
-        self.constraints: list[LinearConstraint] = []
+def _latency_terms(
+    design: Design,
+    kind: LatencyModelKind,
+    variables: list[IlpVariable],
+    constraints: list[LinearConstraint],
+) -> Expr:
+    """The model's plan over the selection variables: the top's latency term.
 
-    def add_aux(self, path: str) -> str:
-        var_id = _aux_var_id(path)
-        self.variables.append(IlpVariable(var_id, VarKind.NONNEG_INT, AuxParMax(path)))
-        return var_id
+    Each kernel slot starts as its own variant latencies. An add step adds
+    its substituted form; a max step becomes an aux variable bounded below
+    by each of its forms, and its slot becomes that variable.
+    """
+    plan = design.plan(kind)
+    exprs: list[Expr] = [
+        {_selection_var_id(kid, v.index): v.latency
+         for v in design.kernels[kid].variants if v.latency}
+        for kid in design.order
+    ]
+    exprs += [{} for _ in range(plan.size - len(exprs))]
 
-    def latency_expr(self, kind: LatencyModelKind) -> Expr:
-        design = self.design
-        if kind is LatencyModelKind.TOP_ONLY:
-            return self._self_terms(design.top)
-        if kind is LatencyModelKind.SUM_ALL:
-            expr: Expr = {}
-            for kid in sorted(design.kernels):
-                _scale_add(expr, self._self_terms(kid), 1)
-            return expr
-        if kind is LatencyModelKind.SUM_WITH_MULTIPLIERS:
-            return self._structural_expr(parallel_as_sum=True)
-        if kind is LatencyModelKind.CORRECT:
-            return self._structural_expr(parallel_as_sum=False)
-        if kind is LatencyModelKind.TOP_PLUS_MAX_CHILDREN:
-            return self._top_plus_max_expr()
-        raise ValueError(f"unknown latency model {kind!r}")
-
-    def _self_terms(self, kid: str) -> Expr:
-        kernel = self.design.kernels[kid]
+    def substituted(form: LinearForm) -> Expr:
         expr: Expr = {}
-        for v in kernel.variants:
-            if v.latency:
-                expr[_selection_var_id(kid, v.index)] = v.latency
+        for slot, coef in form:
+            _scale_add(expr, exprs[slot], coef)
         return expr
 
-    def _structural_expr(self, parallel_as_sum: bool) -> Expr:
-        design = self.design
-        kernel_exprs: dict[str, Expr] = {}
-
-        def node_expr(node: CompositionNode, path: str, exprs: list[Expr]) -> Expr:
-            expr: Expr = {}
-            if isinstance(node, Call):
-                _scale_add(expr, kernel_exprs[node.kernel], node.multiplicity)
-            elif isinstance(node, Loop):
-                _scale_add(expr, exprs[0], node.trip_count)
-            elif isinstance(node, Par) and not parallel_as_sum:
-                aux = self.add_aux(path)
-                for child_expr in exprs:
-                    terms = [(1, aux)] + [(-c, v) for v, c in sorted(child_expr.items())]
-                    self.constraints.append(LinearConstraint(tuple(terms), ">=", 0))
-                expr[aux] = 1
-            else:
-                for child_expr in exprs:
-                    _scale_add(expr, child_expr, 1)
-            return expr
-
-        for kid in design.order:
-            kernel = design.kernels[kid]
-            expr = self._self_terms(kid)
-            if kernel.body is not None:
-                _scale_add(expr, fold_body(kernel.body, f"{kid}/body", node_expr), 1)
-            kernel_exprs[kid] = expr
-        return kernel_exprs[design.top]
-
-    def _top_plus_max_expr(self) -> Expr:
-        design = self.design
-        totals: dict[str, Expr] = {}
-        for kid in design.order:
-            children = direct_callees(design.kernels[kid])
-            own = self._self_terms(kid)
-            if not children:
-                totals[kid] = own
-                continue
-            aux = self.add_aux(f"{kid}/children")
-            for child in children:
-                terms = [(1, aux)] + [(-c, v) for v, c in sorted(totals[child].items())]
-                self.constraints.append(LinearConstraint(tuple(terms), ">=", 0))
-            expr: Expr = {aux: 1}
-            _scale_add(expr, own, 1)
-            totals[kid] = expr
-        return totals[design.top]
+    for slot, path, forms in plan.steps:
+        if path is None:
+            for s, coef in forms[0]:
+                _scale_add(exprs[slot], exprs[s], coef)
+            continue
+        aux = _aux_var_id(path)
+        variables.append(IlpVariable(aux, VarKind.NONNEG_INT, AuxParMax(path)))
+        for form in forms:
+            terms = [(1, aux)] + [(-c, v) for v, c in sorted(substituted(form).items())]
+            constraints.append(LinearConstraint(tuple(terms), ">=", 0))
+        exprs[slot] = {aux: 1}
+    return exprs[plan.top]
 
 
 def build_model(
@@ -242,28 +191,24 @@ def build_model(
     latency_model: LatencyModelKind = LatencyModelKind.CORRECT,
 ) -> IlpModel:
     """Lower a design plus objective into a declarative selection model."""
-    builder = _ModelBuilder(design)
-
+    variables: list[IlpVariable] = []
+    constraints: list[LinearConstraint] = []
     # Binary selection variables and their one-hot constraints, kernels sorted.
-    one_hots: list[LinearConstraint] = []
     for kid in sorted(design.kernels):
         terms = []
         for v in design.kernels[kid].variants:
             var_id = _selection_var_id(kid, v.index)
-            builder.variables.append(
-                IlpVariable(var_id, VarKind.BINARY, SelectionVar(kid, v.index))
-            )
+            variables.append(IlpVariable(var_id, VarKind.BINARY, SelectionVar(kid, v.index)))
             terms.append((1, var_id))
-        one_hots.append(LinearConstraint(tuple(terms), "=", 1))
+        constraints.append(LinearConstraint(tuple(terms), "=", 1))
 
-    latency_terms = builder.latency_expr(latency_model)
+    latency_terms = _latency_terms(design, latency_model, variables, constraints)
     area_terms: Expr = {}
     for kid in sorted(design.kernels):
         for v in design.kernels[kid].variants:
             if v.area_tenths:
                 area_terms[_selection_var_id(kid, v.index)] = v.area_tenths
 
-    constraints = one_hots + builder.constraints
     objective_terms: list[tuple[Union[int, Fraction], str]] = []
 
     if isinstance(objective, ConstrainedArea):
@@ -276,8 +221,8 @@ def build_model(
         )
         objective_terms = [(c, v) for v, c in sorted(latency_terms.items())]
     elif isinstance(objective, Lagrangian):
-        builder.variables.append(IlpVariable("d_plus", VarKind.NONNEG_INT, AreaSlackPlus()))
-        builder.variables.append(IlpVariable("d_minus", VarKind.NONNEG_INT, AreaSlackMinus()))
+        variables.append(IlpVariable("d_plus", VarKind.NONNEG_INT, AreaSlackPlus()))
+        variables.append(IlpVariable("d_minus", VarKind.NONNEG_INT, AreaSlackMinus()))
         terms = [(c, v) for v, c in sorted(area_terms.items())]
         terms += [(-1, "d_plus"), (1, "d_minus")]
         constraints.append(
@@ -296,7 +241,7 @@ def build_model(
         sorted(design.kernels, key=lambda kid: (-len(design.kernels[kid].variants), kid))
     )
     return IlpModel(
-        variables=tuple(builder.variables),
+        variables=tuple(variables),
         constraints=tuple(constraints),
         objective=tuple(objective_terms),
         latency_model=latency_model,
@@ -313,9 +258,11 @@ def _check_declarative(
     area_tenths: int,
     objective_value: Fraction | int,
 ) -> None:
-    # The structured search and the declarative model are built independently
-    # enough that cross-checking the winner against every constraint is a
-    # cheap safety net.
+    # Guards the search, not the lowering: the winner found by the front
+    # search, recovery or branch and bound must satisfy every row of the
+    # model, with the plan's own max values as the aux variables, and score
+    # the objective the search claims. The lowering's independent reference
+    # is the test suite's recursive ``reference_latency``.
     assignment: dict[str, Fraction | int] = {
         _aux_var_id(path): value for path, value in aux_values.items()
     }

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from hlsdse import agent
 from hlsdse.agent import (
     MAX_ACTION_LINE_BYTES,
     Ack,
@@ -397,11 +398,10 @@ def test_ilp_first_relaxes_until_feasible():
     assert not outcome.met_target
 
 
-def test_ilp_first_gives_up_on_the_greedy_baseline():
+def test_ilp_first_gives_up_on_the_greedy_baseline(monkeypatch):
+    monkeypatch.setattr(agent, "MAX_RELAX_RETRIES", 0)
     design = parallel_pair_design()
-    outcome, transcript = run(
-        IlpFirstPolicy(max_relax_retries=0), design, area_target_tenths=1000
-    )
+    outcome, transcript = run(IlpFirstPolicy(), design, area_target_tenths=1000)
     assert kinds(transcript) == ["synthesize", "solve_ilp", "select"]
     assert outcome.configuration == greedy_configuration(design)
 

@@ -232,6 +232,28 @@ def test_solve_lagrangian_mode_always_answers(capsys):
     assert "oracle: no feasible configuration" in out
 
 
+def test_solve_answers_past_the_enumeration_cap_and_skips_the_oracle(tmp_path, capsys):
+    # AES_LIKE with six more leaves under top: 5**11 configurations.
+    data = benchmark_to_dict(builtin("AES_LIKE"))
+    leaf = data["kernels"][1]
+    for i in range(6):
+        data["kernels"].append({"id": f"L{i}", "source": dict(leaf["source"]), "variants": []})
+        data["kernels"][0]["body"]["seq"].append({"call": {"kernel": f"L{i}"}})
+    data["latency_formula"] = ""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    assert main(["solve", "--benchmark", str(path)]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "benchmark", "area target", "ilp", "ilp predicted", "ilp evaluated", "oracle"
+    ]
+    assert lines[-1] == (
+        "oracle: skipped (48828125 configurations exceed the enumeration cap of 1000000)"
+    )
+    assert captured.err == ""
+
+
 def test_solve_rejects_unknown_benchmarks(capsys):
     assert main(["solve", "--benchmark", "SYN99"]) == 2
     assert capsys.readouterr().err.startswith("error: ")

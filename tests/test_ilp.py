@@ -25,7 +25,7 @@ from hlsdse.design import (
 )
 from hlsdse import front, ilp
 from hlsdse.bench import builtin, builtin_names, gap_fixture
-from hlsdse.errors import CyclicDesign
+from hlsdse.errors import CyclicDesign, UnsupportedModel
 from hlsdse.ilp import (
     AuxParMax,
     ConstrainedArea,
@@ -146,6 +146,39 @@ def test_order_and_aux_values_agree_with_the_model(seed):
         assert set(par_node_values(design, config, kind)) == aux_paths(model)
 
 
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([0.0, 0.4]))
+def test_the_model_holds_at_every_configuration_with_the_reference_maxima(seed, second_caller):
+    # The lowering checked against the recursive reference, not against the
+    # plan it is read off: every row holds and the objective is the latency.
+    rng = random.Random(seed)
+    design = random_design(rng, max_kernels=8, second_caller=second_caller)
+    big = sum(max(v.area_tenths for v in k.variants) for k in design.kernels.values())
+    for _ in range(3):
+        config = random_configuration(rng, design)
+        chosen = config.as_dict()
+        for kind in LatencyModelKind:
+            maxima: dict[str, int] = {}
+            latency = reference_latency(design, config, kind, maxima)
+            model = build_model(design, ConstrainedArea(big), kind)
+            value = {f"t_{path}": peak for path, peak in maxima.items()}
+            for v in model.variables:
+                if isinstance(v.annotation, SelectionVar):
+                    value[v.id] = int(chosen[v.annotation.kernel] == v.annotation.variant)
+            assert set(value) == {v.id for v in model.variables}
+            slack: dict[str, list[int]] = {f"t_{path}": [] for path in maxima}
+            for row in model.constraints:
+                lhs = sum(coef * value[var] for coef, var in row.terms)
+                assert {"<=": lhs <= row.rhs, ">=": lhs >= row.rhs, "=": lhs == row.rhs}[
+                    row.relation
+                ], (kind, row, lhs)
+                if row.relation == ">=":
+                    slack[row.terms[0][1]].append(lhs)
+            # Each aux is bounded by every form of its max and attains one.
+            assert all(rows and min(rows) == 0 for rows in slack.values()), kind
+            assert sum(coef * value[var] for coef, var in model.objective) == latency
+
+
 def test_lagrangian_model_adds_slack_pair():
     kernels = {
         "top": Kernel(
@@ -180,6 +213,11 @@ def test_build_model_rejects_cycles_and_bad_alpha():
         build_model(cyclic, ConstrainedArea(100))
     with pytest.raises(ValueError):
         build_model(parallel_pair_design(), Lagrangian(100, alpha=0))
+
+
+def test_build_model_rejects_an_unknown_latency_model():
+    with pytest.raises(UnsupportedModel):
+        build_model(parallel_pair_design(), ConstrainedArea(2200), "no-such-model")
 
 
 def test_to_lp_text_renders_model():

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -382,3 +384,20 @@ def test_plan_and_oracle_agree_with_the_reference(seed):
             report.min_area[0], report.min_area[1].latency, report.min_area[1].area_tenths
         )
         assert (got_best, got_lowest) == (best, lowest)
+
+
+def test_only_latency_py_says_what_a_model_means():
+    # Every other module reads a model off its plan; a comparison against a
+    # member (``is``, ``==``, ``in``) would be a second definition of it.
+    found = []
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "hlsdse").glob("*.py")):
+        if path.name == "latency.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare) and any(
+                isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                and n.value.id == "LatencyModelKind" and n.attr.isupper()
+                for n in ast.walk(node)
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == [], "dispatch on the model in latency.lower_latency_plan"
