@@ -398,6 +398,20 @@ def design_summary(design: Design, design_id: str) -> dict[str, object]:
 # Session
 
 
+def _question(action: SolveIlp) -> tuple:
+    """The key of a ``SolveIlp``'s answer on the design: equal keys, equal
+    solutions.
+
+    Not the raw objective: ``Lagrangian(t, 0.1) == Lagrangian(t, Fraction(0.1))``,
+    yet their ``alpha_fraction``s, and so their objectives, differ. Raises
+    ValueError for an alpha that is not a finite number.
+    """
+    spec = action.objective
+    if isinstance(spec, Lagrangian):
+        return (action.latency_model, "lagrangian", spec.area_target_tenths, spec.alpha_fraction)
+    return (action.latency_model, "constrained", spec.area_target_tenths, None)
+
+
 class Session:
     """One strictly sequential exploration run over a fixed design.
 
@@ -405,6 +419,11 @@ class Session:
     entry, and termination is decided right after the append — Select wins
     immediately, then the character cap, then the action cap. Invalid actions
     raise without being recorded.
+
+    A ``SolveIlp`` is answered once per design and question (``_question``),
+    and the ``IlpSolution`` is kept in ``design._answers``: the sessions of a
+    batch share one prepared design, so its reps ask the solver nothing new.
+    A rejected question is not kept.
     """
 
     def __init__(
@@ -511,9 +530,13 @@ class Session:
                 variants=kernel.variants,
             )
         if isinstance(action, SolveIlp):
+            answers = self.design._answers
             try:
-                model = build_model(self.design, action.objective, action.latency_model)
-                solution = solve(model)
+                key = _question(action)
+                solution = answers.get(key)
+                if solution is None:
+                    model = build_model(self.design, action.objective, action.latency_model)
+                    solution = answers[key] = solve(model)
             except ValueError as exc:
                 raise InvalidAction(str(exc)) from None
             return IlpOutcome(solution=solution, latency_model=action.latency_model)

@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence, Un
 from .errors import CapExceeded, CyclicDesign, ParseError
 
 if TYPE_CHECKING:
+    from .ilp import IlpSolution
     from .latency import LatencyModelKind, LatencyPlan, OracleReport
 
 ENUMERATION_CAP = 10**6
@@ -194,8 +195,12 @@ class Design:
         return plan
 
     @cached_property
-    def _reports(self) -> dict[int, "OracleReport"]:
-        """``front.front_optimum``'s reports, keyed by area target."""
+    def _answers(self) -> dict[tuple, "IlpSolution | OracleReport"]:
+        """Answers computed once per design, never models or fronts:
+        ``agent.Session``'s ``SolveIlp`` solutions, keyed by the normalised
+        question ``(model, mode, area target, alpha or None)``, and
+        ``front.front_optimum``'s reports, keyed by ``("oracle", area
+        target)``."""
         return {}
 
     def with_variants(self, options: Mapping[str, tuple[KernelVariant, ...]]) -> "Design":

@@ -312,14 +312,15 @@ def best_within(
 
 def front_optimum(design: Design, area_target_tenths: int) -> OracleReport:
     """``latency.brute_force_optimum``'s report, from ``best_within`` under
-    the correct model, kept once per design and target.
+    the correct model, kept once per design and target in ``design._answers``.
 
     ``best_feasible`` is the best configuration within the target and
     ``min_area`` the best within the least total area. Raises ValueError if
     a kernel has no variants and CapExceeded when the shared kernels have
     more than ``ENUMERATION_CAP`` variant combinations.
     """
-    report = design._reports.get(area_target_tenths)
+    key = ("oracle", area_target_tenths)
+    report = design._answers.get(key)
     if report is not None:
         return report
     kernels = design.kernels
@@ -334,5 +335,5 @@ def front_optimum(design: Design, area_target_tenths: int) -> OracleReport:
     best_feasible = scored(area_target_tenths)  # first: it rejects a kernel with no variants
     least = sum(min(v.area_tenths for v in k.variants) for k in kernels.values())
     report = OracleReport(best_feasible=best_feasible, min_area=scored(least))
-    design._reports[area_target_tenths] = report
+    design._answers[key] = report
     return report

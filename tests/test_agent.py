@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import sys
 import textwrap
 import threading
@@ -11,7 +12,10 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import random_design
 from hlsdse import agent
 from hlsdse.agent import (
     MAX_ACTION_LINE_BYTES,
@@ -52,7 +56,7 @@ from hlsdse.design import (
     par,
 )
 from hlsdse.errors import InvalidAction, SessionTerminated
-from hlsdse.ilp import ConstrainedArea, Lagrangian
+from hlsdse.ilp import ConstrainedArea, Lagrangian, build_model, solve
 from hlsdse.latency import LatencyModelKind, brute_force_optimum
 from hlsdse.variantgen import (
     derive_area_target,
@@ -199,6 +203,95 @@ def test_invalid_actions_raise_and_leave_no_trace():
         session.step(SolveIlp(Lagrangian(1000, alpha=0)))
     assert session.transcript().entries == ()
     assert not session.terminated
+
+
+# ---------------------------------------------------------------------------
+# Solve answers, kept once per design and question
+
+
+def fresh_solution(design: Design, action: SolveIlp):
+    return solve(build_model(design, action.objective, action.latency_model))
+
+
+def test_equal_objectives_with_different_alphas_get_their_own_answers():
+    # Lagrangian(t, 0.1) == Lagrangian(t, Fraction(0.1)), and they hash alike,
+    # yet their alpha_fractions differ: 1/10 against the float's exact value.
+    design = parallel_pair_design()
+    session = Session(design, area_target_tenths=2200)
+    actions = [
+        action_from_payload({"solve_ilp": {"mode": "lagrangian", "alpha": alpha}}, 2200)
+        for alpha in (0.1, "3602879701896397/36028797018963968")
+    ]
+    assert actions[0] == actions[1]
+    outcomes = [session.step(action) for action in actions]
+    for action, outcome in zip(actions, outcomes):
+        assert outcome.solution == fresh_solution(parallel_pair_design(), action)
+    assert outcomes[0].solution.objective != outcomes[1].solution.objective
+    assert len(design._answers) == 2
+
+
+def test_alphas_of_one_value_share_one_answer():
+    design = parallel_pair_design()
+    session = Session(design, area_target_tenths=2200)
+    outcomes = [
+        session.step(SolveIlp(Lagrangian(2200, alpha))) for alpha in (1, 1.0, Fraction(1))
+    ]
+    assert outcomes[1].solution is outcomes[0].solution
+    assert outcomes[2].solution is outcomes[0].solution
+    assert len(design._answers) == 1
+
+
+def test_a_rejected_solve_is_asked_again_and_never_kept():
+    design = parallel_pair_design()
+    session = Session(design, area_target_tenths=2200, budget=Budget(max_actions=100))
+    bad = SolveIlp(Lagrangian(2200, alpha=0))
+    with pytest.raises(InvalidAction, match="alpha must be positive"):
+        session.step(bad)
+    session.step(SolveIlp(ConstrainedArea(2200)))
+    kept = dict(design._answers)
+    for _ in range(2):
+        with pytest.raises(InvalidAction, match="alpha must be positive"):
+            session.step(bad)
+    assert design._answers == kept and len(kept) == 1
+    assert len(session.transcript().entries) == 1
+
+
+@pytest.mark.parametrize("objective", [ConstrainedArea(2200), Lagrangian(2200)])
+def test_a_kernel_without_variants_is_rejected_on_every_ask(objective):
+    design = parallel_pair_design()
+    kernels = dict(design.kernels)
+    kernels["B"] = Kernel("B", SOURCE)
+    design = Design(kernels=kernels, top="top")
+    session = Session(design, area_target_tenths=2200)
+    for _ in range(2):
+        with pytest.raises(InvalidAction):
+            session.step(SolveIlp(objective))
+    assert design._answers == {}
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([0.0, 0.4]),
+    st.sampled_from([1, 0.1, Fraction(5, 2)]),
+)
+def test_a_kept_answer_is_the_fresh_answer(seed, second_caller, alpha):
+    def draw() -> Design:
+        return random_design(random.Random(seed), max_kernels=6, second_caller=second_caller)
+
+    design, copy = draw(), draw()
+    areas = [sorted(v.area_tenths for v in k.variants) for k in design.kernels.values()]
+    low, high = sum(a[0] for a in areas), sum(a[-1] for a in areas)
+    target = random.Random(seed).randint(low - 10, high)  # infeasible ones too
+    for kind in LatencyModelKind:
+        for objective in (ConstrainedArea(target), Lagrangian(target, alpha)):
+            action = SolveIlp(objective, kind)
+            first, second = (Session(design, target).step(action) for _ in range(2))
+            assert second.solution is first.solution
+            fresh = IlpOutcome(fresh_solution(copy, action), kind)
+            assert second == fresh
+            assert entry_chars(action, second) == entry_chars(action, fresh)
+    assert copy._answers == {}
 
 
 def test_transcript_accumulates_serialized_sizes():

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import pytest
 
+from hlsdse import agent, front
 from hlsdse.agent import (
     ExternalPolicy,
     Failure,
@@ -17,7 +18,7 @@ from hlsdse.agent import (
     Success,
     TrialAndErrorPolicy,
 )
-from hlsdse.bench import Benchmark, builtin
+from hlsdse.bench import Benchmark, builtin, builtin_names
 from hlsdse.design import Configuration, Design, area_to_tenths, call
 from hlsdse.errors import CyclicDesign, EmptyInput, FunctionalityBroken, ParseError
 from hlsdse.experiment import (
@@ -177,6 +178,22 @@ def test_non_finite_external_area_target_becomes_a_failure_record(tmp_path):
     assert [type(r.outcome) for r in records] == [Failure, Success]
     assert records[0].outcome.reason is FailureReason.POLICY_ERROR
     assert "not a finite number" in records[0].outcome.detail
+
+
+def test_the_default_batch_asks_each_distinct_solve_once(monkeypatch):
+    # 240 runs share 8 prepared designs: 120 solve_ilp steps ask 10 distinct
+    # questions, and each oracle report costs two best_within calls.
+    calls = {"build_model": 0, "solve": 0, "best_within": 0}
+    for module, name in ((agent, "build_model"), (agent, "solve"), (front, "best_within")):
+        def counted(*args, _name=name, _real=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    records = run_experiment([builtin(n) for n in builtin_names()], [ORACLE, ILP, TRIAL])
+    assert len(records) == 240
+    assert sum(r.actions_by_kind["solve_ilp"] for r in records) == 120
+    assert calls == {"build_model": 10, "solve": 10, "best_within": 26}
 
 
 def test_repetitions_must_be_positive():
