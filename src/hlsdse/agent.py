@@ -197,7 +197,13 @@ Outcome = Union[Success, Failure]
 
 
 # ---------------------------------------------------------------------------
-# Serialization (transcript files and the external wire protocol share it)
+# Serialization (the transcript file and the external wire protocol share it)
+
+# Built once: ``json.dumps`` with any non-default option builds a new encoder
+# on every call. ``COMPACT_JSON`` writes transcripts, ``runs.jsonl`` and the
+# sizes the context cap counts; ``_WIRE_JSON`` writes the external protocol.
+COMPACT_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_WIRE_JSON = json.JSONEncoder(sort_keys=True)
 
 
 def _alpha_to_json(alpha: Union[int, float, Fraction]) -> Union[int, float, str]:
@@ -369,10 +375,8 @@ def observation_to_payload(observation: Observation) -> dict[str, object]:
 
 def entry_chars(action: Action, observation: Observation) -> int:
     """Serialized size of one transcript entry, the unit of the context cap."""
-    blob = json.dumps(
-        {"action": action_to_payload(action), "observation": observation_to_payload(observation)},
-        sort_keys=True,
-        separators=(",", ":"),
+    blob = COMPACT_JSON.encode(
+        {"action": action_to_payload(action), "observation": observation_to_payload(observation)}
     )
     return len(blob)
 
@@ -512,6 +516,10 @@ class Session:
         elif isinstance(action, SolveIlp):
             if not isinstance(action.objective, (ConstrainedArea, Lagrangian)):
                 raise InvalidAction(f"bad objective {action.objective!r}")
+            if isinstance(action.objective, Lagrangian):
+                alpha = action.objective.alpha
+                if isinstance(alpha, bool) or not isinstance(alpha, (int, float, Fraction)):
+                    raise InvalidAction(f"alpha must be an int, float or Fraction, got {alpha!r}")
             if not isinstance(action.latency_model, LatencyModelKind):
                 raise InvalidAction(f"bad latency model {action.latency_model!r}")
         else:
@@ -843,7 +851,7 @@ class ExternalPolicy(Policy):
         if self._proc.stdin is None or self._proc.poll() is not None:
             raise InvalidAction("external policy process is gone")
         try:
-            self._proc.stdin.write(json.dumps(message, sort_keys=True).encode() + b"\n")
+            self._proc.stdin.write(_WIRE_JSON.encode(message).encode() + b"\n")
             self._proc.stdin.flush()
         except (OSError, ValueError) as exc:
             raise InvalidAction(f"cannot write to external policy: {exc}") from None

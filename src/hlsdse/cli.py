@@ -157,10 +157,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"met-target {row.runs_meeting_target}, "
             f"points s1={row.scenario1_points} s2={row.scenario2_points}"
         )
-    transcript_count = sum(1 for p in paths if p.parent.name == "transcripts")
-    print(
-        f"wrote {paths[0]} and {paths[1]} plus {transcript_count} transcript files"
-    )
+    kept = sum(1 for r in records if r.transcript is not None)
+    if kept:
+        print(f"wrote {paths[0]} and {paths[1]} plus {paths[2]} ({kept} run transcripts)")
+    else:
+        print(f"wrote {paths[0]} and {paths[1]} (no run has a transcript)")
     return 0
 
 

@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .agent import (
+    COMPACT_JSON,
     Budget,
     Failure,
     FailureReason,
@@ -429,10 +430,19 @@ def report(
     table: ScoreTable,
     out_dir: Union[str, Path],
 ) -> list[Path]:
-    """Write summary.csv, runs.jsonl, and per-run transcript files.
+    """Write ``summary.csv``, ``runs.jsonl`` and ``transcripts.jsonl``.
 
-    Output is deterministic for identical inputs: records are sorted, floats
-    formatted with fixed precision, and wall-clock times omitted.
+    ``runs.jsonl`` holds one line per run, in ``(benchmark, policy, seed)``
+    order. ``transcripts.jsonl`` holds the runs that have a transcript, in
+    the same order, each as two kinds of line: first a header line
+    ``{"benchmark","policy","rep","seed"}``, then one entry line
+    ``{"action","chars","observation","step"}`` per transcript entry, in step
+    order. It is written only when some run has a transcript, and removed
+    otherwise so that it never describes another batch.
+
+    Output is deterministic for identical inputs: records are sorted, JSON
+    keys sorted, floats formatted with fixed precision, and wall-clock times
+    omitted.
     """
     if not records:
         raise EmptyInput("no run records to report")
@@ -452,30 +462,28 @@ def report(
         raise OSError(f"cannot write {summary_path}: {exc}") from exc
     written.append(summary_path)
 
+    encode = COMPACT_JSON.encode
     ordered = sorted(records, key=lambda r: (r.benchmark, r.policy, r.seed))
     runs_path = out / "runs.jsonl"
     with open(runs_path, "w", encoding="utf-8") as handle:
         for record in ordered:
-            handle.write(
-                json.dumps(record_to_dict(record), sort_keys=True, separators=(",", ":"))
-                + "\n"
-            )
+            handle.write(encode(record_to_dict(record)) + "\n")
     written.append(runs_path)
 
-    transcripts = out / "transcripts"
-    transcripts.mkdir(exist_ok=True)
-    for record in ordered:
-        if record.transcript is None:
-            continue
-        path = transcripts / f"{record.benchmark}__{record.policy}__r{record.rep:02d}.jsonl"
-        with open(path, "w", encoding="utf-8") as handle:
+    transcripts_path = out / "transcripts.jsonl"
+    with_transcript = [r for r in ordered if r.transcript is not None]
+    if not with_transcript:
+        transcripts_path.unlink(missing_ok=True)
+        return written
+    with open(transcripts_path, "w", encoding="utf-8") as handle:
+        for record in with_transcript:
             header = {
                 "benchmark": record.benchmark,
                 "policy": record.policy,
                 "rep": record.rep,
                 "seed": record.seed,
             }
-            handle.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+            handle.write(encode(header) + "\n")
             for entry in record.transcript.entries:
                 line = {
                     "step": entry.step,
@@ -483,6 +491,6 @@ def report(
                     "observation": observation_to_payload(entry.observation),
                     "chars": entry.cumulative_chars,
                 }
-                handle.write(json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n")
-        written.append(path)
+                handle.write(encode(line) + "\n")
+    written.append(transcripts_path)
     return written

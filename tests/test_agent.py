@@ -205,6 +205,17 @@ def test_invalid_actions_raise_and_leave_no_trace():
     assert not session.terminated
 
 
+@pytest.mark.parametrize("alpha", [None, True, False, "1/2", [1]])
+def test_a_lagrangian_alpha_of_another_type_is_an_invalid_action(alpha):
+    # As on the wire: int, float or Fraction, and never a bool.
+    design = optimize_bottom_up(builtin("SYN1").skeleton).design
+    session = Session(design, area_target_tenths=1000)
+    with pytest.raises(InvalidAction, match="alpha must be an int, float or Fraction"):
+        session.step(SolveIlp(Lagrangian(1000, alpha)))
+    assert session.transcript().entries == ()
+    assert design._answers == {}
+
+
 # ---------------------------------------------------------------------------
 # Solve answers, kept once per design and question
 
@@ -719,6 +730,53 @@ def test_external_wire_protocol_framing(tmp_path):
     assert observation["type"] == "observation"
     assert observation["step"] == 0
     assert "kernel_view" in observation["payload"]
+
+
+RAW_LOGGING_CHILD = """
+    import json
+    import sys
+
+    log = open(sys.argv[1], "wb")
+
+    def receive():
+        line = sys.stdin.buffer.readline()
+        log.write(line)
+        log.flush()
+        return json.loads(line)
+
+    def send(action):
+        sys.stdout.write(json.dumps({"type": "action", "action": action}) + "\\n")
+        sys.stdout.flush()
+
+    kernels = [k["id"] for k in receive()["design_summary"]["kernels"]]
+    for kid in kernels:
+        send({"inspect": {"kernel": kid}})
+        receive()
+    send({"solve_ilp": {"mode": "lagrangian", "alpha": 0.1}})
+    receive()
+    send({"select": {"choice": {kid: 0 for kid in kernels}}})
+    sys.stdin.readline()
+"""
+
+
+def test_relayed_lines_are_sorted_key_json(tmp_path):
+    log_path = tmp_path / "wire.bin"
+    command = write_child(tmp_path, "raw.py", RAW_LOGGING_CHILD) + [str(log_path)]
+    design = parallel_pair_design()
+    outcome, transcript = run_external(ExternalPolicy(command), design, 2200)
+    assert isinstance(outcome, Success)
+    messages = [
+        {
+            "type": "task",
+            "design_summary": design_summary(design, "design"),
+            "area_target": 220.0,
+        }
+    ] + [
+        {"type": "observation", "step": e.step, "payload": observation_to_payload(e.observation)}
+        for e in transcript.entries[:-1]  # the Select's Ack ends the run unrelayed
+    ]
+    expected = [(json.dumps(m, sort_keys=True) + "\n").encode() for m in messages]
+    assert log_path.read_bytes().splitlines(keepends=True) == expected
 
 
 BAD_CHILD = """

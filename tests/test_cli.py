@@ -67,10 +67,26 @@ def test_run_writes_reports_and_summarizes(tmp_path, capsys):
     assert any(
         line.startswith("SYN1 ilp-first[correct]: success 2/2") for line in captured
     )
-    assert captured[-1].endswith("plus 4 transcript files")
-    assert (out / "summary.csv").exists()
-    assert (out / "runs.jsonl").exists()
-    assert len(list((out / "transcripts").iterdir())) == 4
+    assert captured[-1] == (
+        f"wrote {out / 'summary.csv'} and {out / 'runs.jsonl'} "
+        f"plus {out / 'transcripts.jsonl'} (4 run transcripts)"
+    )
+    assert sorted(p.name for p in out.iterdir()) == [
+        "runs.jsonl",
+        "summary.csv",
+        "transcripts.jsonl",
+    ]
+    rows = [json.loads(line) for line in (out / "transcripts.jsonl").read_text().splitlines()]
+    assert sum(1 for row in rows if set(row) == {"benchmark", "policy", "rep", "seed"}) == 4
+
+
+def test_run_without_transcripts_says_so(tmp_path, capsys):
+    out = tmp_path / "broken"
+    argv = ["run", "--benchmark", "SYN1", "--reps", "1", "--fault-rate", "1", "--out", str(out)]
+    assert main(argv) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == f"wrote {out / 'summary.csv'} and {out / 'runs.jsonl'} (no run has a transcript)"
+    assert sorted(p.name for p in out.iterdir()) == ["runs.jsonl", "summary.csv"]
 
 
 def test_run_defaults_cover_all_builtins_and_policies(tmp_path, capsys):

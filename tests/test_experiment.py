@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hlsdse import agent, front
 from hlsdse.agent import (
@@ -396,19 +401,17 @@ def test_scoring_rejects_an_empty_batch():
 # Reports
 
 
+HEADER_KEYS = {"benchmark", "policy", "rep", "seed"}
+ENTRY_KEYS = {"step", "action", "observation", "chars"}
+
+
 def test_report_writes_the_full_file_set(tmp_path):
     records = small_batch()
     table = score(records)
     written = report(records, table, tmp_path / "out")
     names = [p.relative_to(tmp_path / "out").as_posix() for p in written]
-    assert names == [
-        "summary.csv",
-        "runs.jsonl",
-        "transcripts/SYN1__ilp-first[correct]__r00.jsonl",
-        "transcripts/SYN1__ilp-first[correct]__r01.jsonl",
-        "transcripts/SYN1__oracle__r00.jsonl",
-        "transcripts/SYN1__oracle__r01.jsonl",
-    ]
+    assert names == ["summary.csv", "runs.jsonl", "transcripts.jsonl"]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(names)
 
     header = (tmp_path / "out" / "summary.csv").read_text().splitlines()[0]
     assert header == ",".join(SUMMARY_COLUMNS)
@@ -420,29 +423,103 @@ def test_report_writes_the_full_file_set(tmp_path):
     assert len(rows) == 4
     assert all("wall_time_s" not in r and "transcript" not in r for r in rows)
 
-    transcript_lines = (
-        (tmp_path / "out" / "transcripts" / "SYN1__oracle__r00.jsonl")
-        .read_text()
-        .splitlines()
-    )
-    head = json.loads(transcript_lines[0])
-    assert head == {
+    # Each run is a header line followed by its entry lines, in runs.jsonl order.
+    transcript_rows = [
+        json.loads(line)
+        for line in (tmp_path / "out" / "transcripts.jsonl").read_text().splitlines()
+    ]
+    assert all(set(row) in (HEADER_KEYS, ENTRY_KEYS) for row in transcript_rows)
+    starts = [i for i, row in enumerate(transcript_rows) if set(row) == HEADER_KEYS]
+    assert starts[0] == 0
+    heads = [transcript_rows[i] for i in starts]
+    assert [{k: r[k] for k in HEADER_KEYS} for r in rows] == heads
+    assert {
         "benchmark": "SYN1",
         "policy": "oracle",
         "rep": 0,
         "seed": derive_seed(0, "SYN1", "oracle", 0),
-    }
-    steps = [json.loads(line) for line in transcript_lines[1:]]
-    assert [s["step"] for s in steps] == list(range(len(steps)))
-    assert "select" in steps[-1]["action"]
-    assert set(steps[-1]) == {"step", "action", "observation", "chars"}
+    } in heads
+    for begin, end in zip(starts, starts[1:] + [len(transcript_rows)]):
+        steps = transcript_rows[begin + 1 : end]
+        assert [s["step"] for s in steps] == list(range(len(steps)))
+        assert "select" in steps[-1]["action"]
+
+
+@pytest.mark.parametrize("fault_rate", [0.0, 0.4])
+def test_transcripts_jsonl_is_the_per_run_files_concatenated(tmp_path, fault_rate):
+    """The one file holds the bytes one file per run used to hold, in
+    runs.jsonl order; runs without a transcript add nothing."""
+    records = run_experiment(
+        [builtin("SYN1"), builtin("SYN2")], [ORACLE, ILP, TRIAL], repetitions=3,
+        fault_rate=fault_rate,
+    )
+    assert any(r.transcript is None for r in records) == (fault_rate > 0)
+    report(records, score(records), tmp_path)
+
+    def line(payload) -> str:
+        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+    by_run = {(r.benchmark, r.policy, r.rep): r for r in records}
+    per_run_files = []
+    for row in (tmp_path / "runs.jsonl").read_text().splitlines():
+        row = json.loads(row)
+        record = by_run[(row["benchmark"], row["policy"], row["rep"])]
+        if record.transcript is None:
+            continue
+        text = line({k: row[k] for k in HEADER_KEYS})
+        for entry in record.transcript.entries:
+            text += line(
+                {
+                    "step": entry.step,
+                    "action": agent.action_to_payload(entry.action),
+                    "observation": agent.observation_to_payload(entry.observation),
+                    "chars": entry.cumulative_chars,
+                }
+            )
+        per_run_files.append(text)
+    assert len(per_run_files) == sum(1 for r in records if r.transcript is not None)
+    assert (tmp_path / "transcripts.jsonl").read_text() == "".join(per_run_files)
+
+
+@functools.cache
+def mixed_batch() -> tuple[RunRecord, ...]:
+    """Every builtin and policy at fault rate 0.4: runs with and without transcripts."""
+    records = run_experiment(
+        [builtin(name) for name in builtin_names()],
+        [ORACLE, ILP, TRIAL],
+        repetitions=2,
+        fault_rate=0.4,
+    )
+    return tuple(records)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(st.data())
+def test_report_writes_at_most_three_files(data):
+    pool = mixed_batch()
+    picks = data.draw(
+        st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=4 * len(pool))
+    )
+    records = [pool[i] for i in picks]
+    with tempfile.TemporaryDirectory() as out:
+        written = report(records, score(records), out)
+        assert sorted(Path(out).rglob("*")) == sorted(written)
+    assert len(written) == (3 if any(r.transcript is not None for r in records) else 2)
+
+
+def test_a_batch_without_transcripts_removes_a_stale_transcripts_file(tmp_path):
+    records = small_batch()
+    report(records, score(records), tmp_path)
+    broken = run_experiment([builtin("SYN1")], [ORACLE], repetitions=1, fault_rate=1.0)
+    report(broken, score(broken), tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["runs.jsonl", "summary.csv"]
 
 
 def test_reports_are_byte_identical_across_reruns(tmp_path):
     for name in ("a", "b"):
         records = small_batch()
         report(records, score(records), tmp_path / name)
-    for filename in ("summary.csv", "runs.jsonl"):
+    for filename in ("summary.csv", "runs.jsonl", "transcripts.jsonl"):
         assert (tmp_path / "a" / filename).read_bytes() == (
             tmp_path / "b" / filename
         ).read_bytes()
