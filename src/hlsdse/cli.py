@@ -9,6 +9,7 @@ malformed policy tokens, or out-of-range fractions.
 from __future__ import annotations
 
 import argparse
+import math
 import shlex
 import sys
 from pathlib import Path
@@ -96,8 +97,8 @@ def _check_common(args: argparse.Namespace) -> None:
         raise ConfigError(
             f"--area-target-frac must be in (0, 1], got {args.area_target_frac}"
         )
-    if args.objective == "lagrangian" and args.alpha <= 0:
-        raise ConfigError(f"--alpha must be positive, got {args.alpha}")
+    if args.objective == "lagrangian" and not (math.isfinite(args.alpha) and args.alpha > 0):
+        raise ConfigError(f"--alpha must be a positive finite number, got {args.alpha}")
 
 
 def _cmd_bench_list(args: argparse.Namespace) -> int:

@@ -118,6 +118,16 @@ def test_run_rejects_bad_flags(tmp_path, capsys):
         assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["run", "solve"])
+def test_a_non_finite_alpha_is_a_config_error(tmp_path, capsys, command, alpha):
+    where = ["--out", str(tmp_path / "x")] if command == "run" else ["--benchmark", "SYN1"]
+    argv = [command, *where, "--objective", "lagrangian", f"--alpha={alpha}"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: --alpha must be a positive finite number")
+    assert not (tmp_path / "x").exists()
+
+
 def nested_syn1(path, depth: int):
     """SYN1 with a top body ``depth`` levels deep: ``par`` levels around the
     call to B, each also calling A (a ``par`` recurses the most per level)."""
