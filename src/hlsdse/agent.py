@@ -19,9 +19,11 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import prod
 from typing import Mapping, Optional, Sequence, Union
 
 from .design import (
+    ENUMERATION_CAP,
     Configuration,
     Design,
     Kernel,
@@ -33,7 +35,7 @@ from .design import (
     node_summary,
     tenths_to_area,
 )
-from .errors import InvalidAction, SessionTerminated
+from .errors import CapExceeded, InvalidAction, SessionTerminated
 from .ilp import (
     ConstrainedArea,
     IlpSolution,
@@ -416,18 +418,28 @@ def _question(action: SolveIlp) -> tuple:
     return (action.latency_model, "constrained", spec.area_target_tenths, None)
 
 
+def _answer(design: Design, action: SolveIlp) -> IlpSolution:
+    """The solver's answer to ``action``, computed once per design and
+    question (``_question``) and kept in ``design._answers``: the sessions
+    of a batch share one prepared design, so its reps ask the solver
+    nothing new. Raises ValueError for a question the solver rejects, which
+    is not kept.
+    """
+    key = _question(action)
+    solution = design._answers.get(key)
+    if solution is None:
+        model = build_model(design, action.objective, action.latency_model)
+        solution = design._answers[key] = solve(model)
+    return solution
+
+
 class Session:
     """One strictly sequential exploration run over a fixed design.
 
     The transcript is the whole state: every accepted action appends an
     entry, and termination is decided right after the append — Select wins
     immediately, then the character cap, then the action cap. Invalid actions
-    raise without being recorded.
-
-    A ``SolveIlp`` is answered once per design and question (``_question``),
-    and the ``IlpSolution`` is kept in ``design._answers``: the sessions of a
-    batch share one prepared design, so its reps ask the solver nothing new.
-    A rejected question is not kept.
+    raise without being recorded. A ``SolveIlp`` is answered by ``_answer``.
     """
 
     def __init__(
@@ -538,13 +550,8 @@ class Session:
                 variants=kernel.variants,
             )
         if isinstance(action, SolveIlp):
-            answers = self.design._answers
             try:
-                key = _question(action)
-                solution = answers.get(key)
-                if solution is None:
-                    model = build_model(self.design, action.objective, action.latency_model)
-                    solution = answers[key] = solve(model)
+                solution = _answer(self.design, action)
             except ValueError as exc:
                 raise InvalidAction(str(exc)) from None
             return IlpOutcome(solution=solution, latency_model=action.latency_model)
@@ -639,7 +646,13 @@ def run(
 
 
 class OraclePolicy(Policy):
-    """Selects the enumeration optimum, found by the targeted front search, in one action."""
+    """Selects ``brute_force_optimum``'s pick in one action: the best
+    configuration within the target under the correct model, else the best
+    within the least total area, both asked of ``_answer``.
+
+    Raises CapExceeded before any solve when the shared kernels have more
+    than ``ENUMERATION_CAP`` variant combinations.
+    """
 
     policy_id = "oracle"
 
@@ -647,11 +660,17 @@ class OraclePolicy(Policy):
         self._task = task
 
     def next_action(self, transcript: Transcript) -> Action:
-        from .front import front_optimum  # compiled on first use, not at package import
+        from .front import _shared  # compiled on first use, not at package import
 
-        report = front_optimum(self._task.design, self._task.area_target_tenths)
-        pick = report.best_feasible if report.best_feasible is not None else report.min_area
-        return Select(pick[0])
+        design, correct = self._task.design, LatencyModelKind.CORRECT
+        count = prod(len(design.kernels[kid].variants) for kid in _shared(design, correct))
+        if count > ENUMERATION_CAP:
+            raise CapExceeded(count, ENUMERATION_CAP)
+        solution = _answer(design, SolveIlp(ConstrainedArea(self._task.area_target_tenths)))
+        if solution.status is SolveStatus.INFEASIBLE:
+            least = sum(min(v.area_tenths for v in k.variants) for k in design.kernels.values())
+            solution = _answer(design, SolveIlp(ConstrainedArea(least)))
+        return Select(solution.configuration)
 
 
 class IlpFirstPolicy(Policy):

@@ -27,7 +27,7 @@ from .errors import CapExceeded, CyclicDesign, ParseError
 
 if TYPE_CHECKING:
     from .ilp import IlpSolution
-    from .latency import LatencyModelKind, LatencyPlan, OracleReport
+    from .latency import LatencyModelKind, LatencyPlan
 
 ENUMERATION_CAP = 10**6
 
@@ -195,12 +195,10 @@ class Design:
         return plan
 
     @cached_property
-    def _answers(self) -> dict[tuple, "IlpSolution | OracleReport"]:
-        """Answers computed once per design, never models or fronts:
-        ``agent.Session``'s ``SolveIlp`` solutions, keyed by the normalised
-        question ``(model, mode, area target, alpha or None)``, and
-        ``front.front_optimum``'s reports, keyed by ``("oracle", area
-        target)``."""
+    def _answers(self) -> dict[tuple, "IlpSolution"]:
+        """Solver answers computed once per design, never models or fronts:
+        ``agent._answer``'s ``IlpSolution``s, keyed by the normalised
+        question ``(model, mode, area target, alpha or None)``."""
         return {}
 
     def with_variants(self, options: Mapping[str, tuple[KernelVariant, ...]]) -> "Design":

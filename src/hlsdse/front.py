@@ -1,5 +1,6 @@
 """The area-capped optimum under any latency model, read off composed
-(area, latency) Pareto fronts, and the oracle that asks it.
+(area, latency) Pareto fronts: how ``ilp.solve`` answers a
+``ConstrainedArea`` model.
 
 A front is a list of (area, latency) points, area ascending and latency
 strictly descending: the non-dominated totals over every choice of variants.
@@ -38,20 +39,10 @@ reaches it. Only fronts that read the fixed kernel are recomputed.
 from __future__ import annotations
 
 from bisect import bisect_right
-from math import prod
 from typing import Iterable, Optional, Sequence
 
-from .design import ENUMERATION_CAP, Configuration, Design, KernelVariant
-from .errors import CapExceeded
-from .latency import (
-    EvalResult,
-    LatencyModelKind,
-    LatencyPlan,
-    LinearForm,
-    OracleReport,
-    _run_plan,
-    evaluate,
-)
+from .design import Configuration, Design, KernelVariant
+from .latency import LatencyModelKind, LatencyPlan, LinearForm, _run_plan
 
 Point = tuple[int, int]
 Front = list[Point]
@@ -308,32 +299,3 @@ def best_within(
     if point is None:
         return None
     return _recover(design, kind, point), point, branches
-
-
-def front_optimum(design: Design, area_target_tenths: int) -> OracleReport:
-    """``latency.brute_force_optimum``'s report, from ``best_within`` under
-    the correct model, kept once per design and target in ``design._answers``.
-
-    ``best_feasible`` is the best configuration within the target and
-    ``min_area`` the best within the least total area. Raises ValueError if
-    a kernel has no variants and CapExceeded when the shared kernels have
-    more than ``ENUMERATION_CAP`` variant combinations.
-    """
-    key = ("oracle", area_target_tenths)
-    report = design._answers.get(key)
-    if report is not None:
-        return report
-    kernels = design.kernels
-    count = prod(len(kernels[kid].variants) for kid in _shared(design, LatencyModelKind.CORRECT))
-    if count > ENUMERATION_CAP:
-        raise CapExceeded(count, ENUMERATION_CAP)
-
-    def scored(target: int) -> Optional[tuple[Configuration, EvalResult]]:
-        best = best_within(design, LatencyModelKind.CORRECT, target)
-        return None if best is None else (best[0], evaluate(design, best[0]))
-
-    best_feasible = scored(area_target_tenths)  # first: it rejects a kernel with no variants
-    least = sum(min(v.area_tenths for v in k.variants) for k in kernels.values())
-    report = OracleReport(best_feasible=best_feasible, min_area=scored(least))
-    design._answers[key] = report
-    return report

@@ -305,6 +305,23 @@ def test_a_kept_answer_is_the_fresh_answer(seed, second_caller, alpha):
     assert copy._answers == {}
 
 
+def test_the_oracle_and_ilp_first_share_one_answer(monkeypatch):
+    result = optimize_bottom_up(builtin("SYN1").skeleton)
+    design, target = result.design, derive_area_target(result.baseline.area_tenths)
+    run(OraclePolicy(), design, area_target_tenths=target)
+    assert list(design._answers) == [(LatencyModelKind.CORRECT, "constrained", target, None)]
+    kept = dict(design._answers)
+
+    def no_solve(model):
+        raise AssertionError("ilp-first solved a question the oracle had asked")
+
+    monkeypatch.setattr(agent, "solve", no_solve)
+    outcome, transcript = run(IlpFirstPolicy(), design, area_target_tenths=target)
+    assert kinds(transcript) == ["synthesize", "solve_ilp", "select"]
+    assert outcome.configuration == kept[next(iter(kept))].configuration
+    assert design._answers == kept
+
+
 def test_transcript_accumulates_serialized_sizes():
     design = parallel_pair_design()
     session = Session(design, area_target_tenths=2200)

@@ -1,4 +1,8 @@
-"""Front-search oracle tests: equal to enumeration, configurations included."""
+"""Front-search oracle tests: equal to enumeration, configurations included.
+
+The oracle policy asks the front search through the session's answer memo
+(``agent._answer``); its pick must be ``brute_force_optimum``'s.
+"""
 
 from __future__ import annotations
 
@@ -10,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import coarsened, random_design
+from hlsdse import agent
 from hlsdse.agent import OraclePolicy, Success, run
 from hlsdse.bench import builtin, builtin_names
 from hlsdse.design import (
@@ -26,7 +31,7 @@ from hlsdse.design import (
     seq,
 )
 from hlsdse.errors import CapExceeded
-from hlsdse.front import _paths, _shared, best_within, front_optimum
+from hlsdse.front import _paths, _shared, best_within
 from hlsdse.ilp import ConstrainedArea, build_model, solve
 from hlsdse.latency import LatencyModelKind, brute_force_optimum, evaluate
 from hlsdse.variantgen import derive_area_target, optimize_bottom_up
@@ -69,13 +74,26 @@ def shared(design: Design) -> tuple[str, ...]:
     return _shared(design, CORRECT)
 
 
+def oracle_pick(design: Design, target: int):
+    """The oracle policy's selection at ``target`` and its evaluation."""
+    outcome, _ = run(OraclePolicy(), design, area_target_tenths=target)
+    assert isinstance(outcome, Success)
+    return outcome.configuration, outcome.result
+
+
+def enumeration_pick(design: Design, target: int):
+    """``brute_force_optimum``'s best within the target, else its min-area one."""
+    report = brute_force_optimum(design, target)
+    return report.best_feasible or report.min_area
+
+
 @pytest.mark.parametrize("name", builtin_names())
 def test_front_oracle_matches_enumeration_on_every_builtin(name):
     task = optimize_bottom_up(builtin(name).skeleton)
     design = task.design
     assert reaches_pareto(design)
     for target in targets(design) + (derive_area_target(task.baseline.area_tenths),):
-        assert front_optimum(design, target) == brute_force_optimum(design, target)
+        assert oracle_pick(design, target) == enumeration_pick(design, target)
 
 
 @pytest.mark.parametrize("name", builtin_names())
@@ -103,7 +121,7 @@ def test_front_oracle_matches_enumeration_on_trees_and_dags(seed, second_caller,
     assert configuration_count(design) <= 729
     assert reaches_pareto(design)
     for target in targets(design):
-        assert front_optimum(design, target) == brute_force_optimum(design, target)
+        assert oracle_pick(design, target) == enumeration_pick(design, target)
 
 
 def test_shared_kernels_are_those_reached_by_more_than_one_call_path():
@@ -121,7 +139,7 @@ def test_shared_kernels_are_those_reached_by_more_than_one_call_path():
     design = Design(kernels=kernels, top="top")
     assert shared(design) == ("A", "B")
     for target in targets(design):
-        assert front_optimum(design, target) == brute_force_optimum(design, target)
+        assert oracle_pick(design, target) == enumeration_pick(design, target)
 
 
 def test_ties_and_unreached_kernels_follow_the_documented_tie_break():
@@ -138,21 +156,28 @@ def test_ties_and_unreached_kernels_follow_the_documented_tie_break():
     assert [kid for kid, n in zip(design.order, paths) if not n] == ["unreached"]
     lo, _, hi = targets(design)
     for target in range(lo - 1, hi + 1):
-        assert front_optimum(design, target) == brute_force_optimum(design, target)
-    assert front_optimum(design, hi).best_feasible[0] == Configuration.from_mapping(
+        assert oracle_pick(design, target) == enumeration_pick(design, target)
+    assert oracle_pick(design, hi)[0] == Configuration.from_mapping(
         {"top": 1, "A": 2, "B": 0, "unreached": 1}
     )
 
 
-def test_oracle_report_is_kept_per_design_and_target():
+def test_oracle_answers_are_kept_per_design_and_target():
     skeleton = builtin("SYN3").skeleton
     design = optimize_bottom_up(skeleton).design
     _, mid, hi = targets(design)
-    assert front_optimum(design, mid) is front_optimum(design, mid)
-    assert front_optimum(design, mid) != front_optimum(design, hi)
+    key = {t: (CORRECT, "constrained", t, None) for t in (mid, hi)}
+    oracle_pick(design, mid)
+    kept = design._answers[key[mid]]
+    oracle_pick(design, mid)
+    oracle_pick(design, hi)
+    assert list(design._answers) == [key[mid], key[hi]]
+    assert design._answers[key[mid]] is kept
+    assert kept != design._answers[key[hi]]
     other = optimize_bottom_up(skeleton).design
-    assert front_optimum(other, mid) == front_optimum(design, mid)
-    assert front_optimum(other, mid) is not front_optimum(design, mid)
+    oracle_pick(other, mid)
+    assert other._answers[key[mid]] == kept
+    assert other._answers[key[mid]] is not kept
 
 
 def test_a_solve_caches_nothing_on_the_design_but_its_plan():
@@ -169,24 +194,31 @@ def test_trees_no_longer_hit_the_enumeration_cap():
     kernels["top"] = Kernel("top", SOURCE, four, seq(*(call(kid) for kid in leaves)))
     design = Design(kernels=kernels, top="top")
     assert configuration_count(design) > ENUMERATION_CAP
-    report = front_optimum(design, 325)
-    config, result = report.best_feasible
+    config, result = oracle_pick(design, 325)
     # 19 steps of 10 above the minimum area: every kernel to index 1, then six
     # to index 2. The lexicographically smallest optimum gives those six to
     # the last kernels in id order.
     assert (result.area_tenths, result.latency) == (320, 13 * 9 - 13 * 4 - 6 * 2)
     assert config.as_dict() == {kid: 1 if kid < "k07" else 2 for kid in kernels}
-    assert report.min_area[0].as_dict() == {kid: 0 for kid in kernels}
+    # Below the least area the oracle falls back to the best within it.
+    assert oracle_pick(design, targets(design)[0])[0].as_dict() == {kid: 0 for kid in kernels}
 
 
-def test_shared_branches_over_the_cap_raise_before_any_work():
+def test_shared_branches_over_the_cap_raise_before_any_work(monkeypatch):
     five = variants(*((10 * (i + 1), 10 - i) for i in range(5)))
     inner = [f"s{i}" for i in range(9)]  # below a twice-called kernel: all shared
     kernels = {kid: Kernel(kid, SOURCE, five) for kid in inner}
     kernels["S"] = Kernel("S", SOURCE, five, seq(*(call(kid) for kid in inner)))
     kernels["top"] = Kernel("top", SOURCE, five, par(call("S"), seq(call("S"))))
+    design = Design(kernels=kernels, top="top")
+
+    def no_work(*args):
+        raise AssertionError("the oracle built a model past the cap")
+
+    monkeypatch.setattr(agent, "build_model", no_work)
     with pytest.raises(CapExceeded):
-        front_optimum(Design(kernels=kernels, top="top"), 1000)
+        oracle_pick(design, 1000)
+    assert design._answers == {}
 
 
 def test_shared_ties_end_the_search_at_one_branch():
@@ -210,7 +242,8 @@ def test_shared_ties_end_the_search_at_one_branch():
 def test_front_requires_variants():
     design = Design(kernels={"top": Kernel("top", SOURCE, ())}, top="top")
     with pytest.raises(ValueError, match="no variants"):
-        front_optimum(design, 100)
+        oracle_pick(design, 100)
+    assert design._answers == {}
 
 
 def test_random_design_draws_are_unchanged_without_second_callers():
