@@ -159,10 +159,21 @@ class Budget:
 
 @dataclass(frozen=True)
 class TranscriptEntry:
+    """One accepted action, its observation, and their compact JSON texts.
+
+    ``action_json`` and ``observation_json`` are the ``COMPACT_JSON`` texts of
+    the two payloads, made when the step is taken: the entry's size
+    (``entry_chars``) is counted from them, and the report writes the entry's
+    line from them. ``cumulative_chars`` is the transcript's size up to and
+    including this entry.
+    """
+
     step: int
     action: Action
     observation: Observation
     cumulative_chars: int
+    action_json: str
+    observation_json: str
 
 
 @dataclass(frozen=True)
@@ -375,12 +386,28 @@ def observation_to_payload(observation: Observation) -> dict[str, object]:
     raise TypeError(f"not an observation: {observation!r}")
 
 
+# The frame of an entry's two texts.
+_ENTRY_FRAME_CHARS = len('{"action":,"observation":}')
+
+
 def entry_chars(action: Action, observation: Observation) -> int:
-    """Serialized size of one transcript entry, the unit of the context cap."""
-    blob = COMPACT_JSON.encode(
-        {"action": action_to_payload(action), "observation": observation_to_payload(observation)}
+    """Serialized size of one transcript entry, the unit of the context cap:
+    the length of ``{"action": ..., "observation": ...}`` in ``COMPACT_JSON``.
+
+    Counted, as ``Session.step`` counts it, from the two payloads' own texts.
+    """
+    return _entry_size(
+        COMPACT_JSON.encode(action_to_payload(action)),
+        COMPACT_JSON.encode(observation_to_payload(observation)),
     )
-    return len(blob)
+
+
+def _entry_size(action_json: str, observation_json: str) -> int:
+    return _ENTRY_FRAME_CHARS + len(action_json) + len(observation_json)
+
+
+# A Select's reply, the same on every design.
+_ACK_REPLY = (Ack(), COMPACT_JSON.encode(observation_to_payload(Ack())))
 
 
 def design_summary(design: Design, design_id: str) -> dict[str, object]:
@@ -440,6 +467,10 @@ class Session:
     entry, and termination is decided right after the append — Select wins
     immediately, then the character cap, then the action cap. Invalid actions
     raise without being recorded. A ``SolveIlp`` is answered by ``_answer``.
+
+    An accepted action's observation and its text come from ``_reply``, once
+    per design and reply key, so the sessions of a batch share them. The
+    action's text is encoded on every step.
     """
 
     def __init__(
@@ -486,14 +517,17 @@ class Session:
         if self._outcome is not None:
             raise SessionTerminated()
         self._validate(action)
-        observation = self._dispatch(action)
-        self._chars += entry_chars(action, observation)
+        observation, observation_json = self._reply(action)
+        action_json = COMPACT_JSON.encode(action_to_payload(action))
+        self._chars += _entry_size(action_json, observation_json)
         self._entries.append(
             TranscriptEntry(
                 step=len(self._entries),
                 action=action,
                 observation=observation,
                 cumulative_chars=self._chars,
+                action_json=action_json,
+                observation_json=observation_json,
             )
         )
         if isinstance(action, Select):
@@ -537,6 +571,34 @@ class Session:
         else:
             raise InvalidAction(f"unrecognized action {action!r}")
 
+    def _reply(self, action: Action) -> tuple[Observation, str]:
+        """A validated action's observation and its ``COMPACT_JSON`` text,
+        kept in ``design._replies`` under what the observation depends on.
+
+        Not under the action: equal actions may serialize differently (see
+        ``_question``), so only the observation's text is kept. A question
+        the solver rejects raises InvalidAction and keeps nothing.
+        """
+        if isinstance(action, Select):
+            return _ACK_REPLY
+        if isinstance(action, Inspect):
+            key: object = ("inspect", action.kernel)
+        elif isinstance(action, SolveIlp):
+            try:
+                key = _question(action)
+            except ValueError as exc:
+                raise InvalidAction(str(exc)) from None
+        else:
+            key = action.choice
+        reply = self.design._replies.get(key)
+        if reply is None:
+            observation = self._dispatch(action)
+            reply = self.design._replies[key] = (
+                observation,
+                COMPACT_JSON.encode(observation_to_payload(observation)),
+            )
+        return reply
+
     def _dispatch(self, action: Action) -> Observation:
         if isinstance(action, Inspect):
             kernel: Kernel = self.design.kernels[action.kernel]
@@ -555,10 +617,8 @@ class Session:
             except ValueError as exc:
                 raise InvalidAction(str(exc)) from None
             return IlpOutcome(solution=solution, latency_model=action.latency_model)
-        if isinstance(action, Synthesize):
-            return SynthResult(evaluate(self.design, action.choice))
-        assert isinstance(action, Select)
-        return Ack()
+        assert isinstance(action, Synthesize)
+        return SynthResult(evaluate(self.design, action.choice))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence, Un
 from .errors import CapExceeded, CyclicDesign, ParseError
 
 if TYPE_CHECKING:
+    from .agent import Observation
     from .ilp import IlpSolution
     from .latency import LatencyModelKind, LatencyPlan
 
@@ -199,6 +200,14 @@ class Design:
         """Solver answers computed once per design, never models or fronts:
         ``agent._answer``'s ``IlpSolution``s, keyed by the normalised
         question ``(model, mode, area target, alpha or None)``."""
+        return {}
+
+    @cached_property
+    def _replies(self) -> dict[object, tuple["Observation", str]]:
+        """Session replies computed once per design: ``agent.Session._reply``'s
+        ``(observation, observation_json)`` pairs, keyed by what the
+        observation depends on — ``("inspect", kernel)``, ``_question(action)``
+        for a solve, or the synthesized ``Configuration``."""
         return {}
 
     def with_variants(self, options: Mapping[str, tuple[KernelVariant, ...]]) -> "Design":
@@ -440,13 +449,20 @@ def validate(design: Design, require_variants: bool = True) -> list[Violation]:
 
 
 def check_configuration(design: Design, configuration: Configuration) -> None:
-    """Raise ValueError unless the configuration is complete and in range."""
+    """Raise ValueError unless the configuration is complete and in range.
+
+    Every index must be an ``int`` and not a ``bool``, as on the wire: ``1.0``
+    and ``True`` equal ``1`` and hash alike, so they would share its memoized
+    replies, yet ``1.0`` cannot index a variant list.
+    """
     chosen = configuration.as_dict()
     if set(chosen) != set(design.kernels):
         missing = sorted(set(design.kernels) - set(chosen))
         extra = sorted(set(chosen) - set(design.kernels))
         raise ValueError(f"configuration mismatch: missing={missing} extra={extra}")
     for kid, idx in chosen.items():
+        if isinstance(idx, bool) or not isinstance(idx, int):
+            raise ValueError(f"kernel {kid!r}: variant index {idx!r} is not an int")
         n = len(design.kernels[kid].variants)
         if not 0 <= idx < n:
             raise ValueError(f"kernel {kid!r}: variant index {idx} out of range [0, {n})")

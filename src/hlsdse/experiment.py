@@ -31,8 +31,6 @@ from .agent import (
     Success,
     Transcript,
     action_kind,
-    action_to_payload,
-    observation_to_payload,
     run,
 )
 from .bench import Benchmark
@@ -437,8 +435,10 @@ def report(
     the same order, each as two kinds of line: first a header line
     ``{"benchmark","policy","rep","seed"}``, then one entry line
     ``{"action","chars","observation","step"}`` per transcript entry, in step
-    order. It is written only when some run has a transcript, and removed
-    otherwise so that it never describes another batch.
+    order, spliced from the JSON texts the entry kept when its step was taken
+    (``TranscriptEntry``), so nothing is encoded twice. It is written only
+    when some run has a transcript, and removed otherwise so that it never
+    describes another batch.
 
     Output is deterministic for identical inputs: records are sorted, JSON
     keys sorted, floats formatted with fixed precision, and wall-clock times
@@ -485,12 +485,10 @@ def report(
             }
             handle.write(encode(header) + "\n")
             for entry in record.transcript.entries:
-                line = {
-                    "step": entry.step,
-                    "action": action_to_payload(entry.action),
-                    "observation": observation_to_payload(entry.observation),
-                    "chars": entry.cumulative_chars,
-                }
-                handle.write(encode(line) + "\n")
+                # COMPACT_JSON of the line, spliced in sorted-key order.
+                handle.write(
+                    f'{{"action":{entry.action_json},"chars":{entry.cumulative_chars},'
+                    f'"observation":{entry.observation_json},"step":{entry.step}}}\n'
+                )
     written.append(transcripts_path)
     return written

@@ -216,6 +216,20 @@ def test_a_lagrangian_alpha_of_another_type_is_an_invalid_action(alpha):
     assert design._answers == {}
 
 
+@pytest.mark.parametrize("index", [1.0, True])
+@pytest.mark.parametrize("kind", [Synthesize, Select])
+def test_a_variant_index_that_is_not_an_int_is_an_invalid_action(kind, index):
+    # 1.0 and True equal 1 and hash alike; neither may stand for it.
+    design = optimize_bottom_up(builtin("SYN1").skeleton).design
+    session = Session(design, area_target_tenths=1000)
+    choice = Configuration.from_mapping({kid: index for kid in design.kernels})
+    with pytest.raises(InvalidAction, match="is not an int"):
+        session.step(kind(choice))
+    assert session.transcript().entries == ()
+    assert not session.terminated
+    assert design._replies == {}
+
+
 # ---------------------------------------------------------------------------
 # Solve answers, kept once per design and question
 
@@ -322,6 +336,65 @@ def test_the_oracle_and_ilp_first_share_one_answer(monkeypatch):
     assert design._answers == kept
 
 
+# ---------------------------------------------------------------------------
+# Session replies, kept once per design and reply key
+
+
+def every_kind_of_reply(design: Design) -> list:
+    return [
+        Inspect("A"),
+        SolveIlp(ConstrainedArea(2200)),
+        SolveIlp(Lagrangian(2200, Fraction(1, 10)), LatencyModelKind.SUM_ALL),
+        Synthesize(all_zero(design)),
+    ]
+
+
+def test_sessions_on_one_design_share_each_reply():
+    design = parallel_pair_design()
+    first, second = (Session(design, area_target_tenths=2200) for _ in range(2))
+    for action in every_kind_of_reply(design):
+        assert second.step(action) is first.step(action)
+    entries = zip(first.transcript().entries, second.transcript().entries)
+    assert all(a.observation_json is b.observation_json for a, b in entries)
+    assert len(design._replies) == 4
+    assert first.step(Select(all_zero(design))) is second.step(Select(all_zero(design)))
+
+
+def test_two_preparations_of_one_skeleton_share_no_reply():
+    skeleton = builtin("SYN1").skeleton
+    designs = [optimize_bottom_up(skeleton).design for _ in range(2)]
+    actions = [
+        Inspect(designs[0].top),
+        SolveIlp(ConstrainedArea(1000)),
+        Synthesize(greedy_configuration(designs[0])),
+    ]
+    replies = [[Session(d, 1000).step(a) for a in actions] for d in designs]
+    assert designs[0]._replies is not designs[1]._replies
+    for mine, theirs in zip(*replies):
+        assert mine == theirs and mine is not theirs
+
+
+def test_a_rejected_action_keeps_no_reply():
+    design = parallel_pair_design()
+    session = Session(design, area_target_tenths=2200, budget=Budget(max_actions=100))
+    for action in every_kind_of_reply(design):
+        session.step(action)
+    kept = dict(design._replies)
+    rejected = [
+        Inspect("ghost"),
+        SolveIlp(Lagrangian(2200, alpha=0)),
+        SolveIlp(Lagrangian(2200, alpha=float("nan"))),
+        Synthesize(Configuration.from_mapping({"top": 0, "A": 9, "B": 0})),
+        Synthesize(Configuration.from_mapping({"top": 0, "A": 1.0, "B": 0})),
+        Select(Configuration.from_mapping({"top": 0})),
+    ]
+    for action in rejected:
+        with pytest.raises(InvalidAction):
+            session.step(action)
+    assert design._replies == kept
+    assert all(design._replies[key] is reply for key, reply in kept.items())
+
+
 def test_transcript_accumulates_serialized_sizes():
     design = parallel_pair_design()
     session = Session(design, area_target_tenths=2200)
@@ -333,6 +406,10 @@ def test_transcript_accumulates_serialized_sizes():
     for entry in entries:
         total += entry_chars(entry.action, entry.observation)
         assert entry.cumulative_chars == total
+        assert entry.action_json == agent.COMPACT_JSON.encode(action_to_payload(entry.action))
+        assert entry.observation_json == agent.COMPACT_JSON.encode(
+            observation_to_payload(entry.observation)
+        )
 
 
 def test_abort_records_a_failure():

@@ -297,6 +297,13 @@ def test_check_configuration_rejects_missing_extra_and_out_of_range():
         check_configuration(design, Configuration.from_mapping({"top": 0, "A": 2}))
 
 
+@pytest.mark.parametrize("index", [1.0, True, "1", None])
+def test_check_configuration_rejects_an_index_that_is_not_an_int(index):
+    design = two_kernel_design()
+    with pytest.raises(ValueError, match="is not an int"):
+        check_configuration(design, Configuration.from_mapping({"top": 0, "A": index}))
+
+
 def test_enumerate_configurations_is_lexicographic_and_complete():
     design = two_kernel_design()
     configs = list(enumerate_configurations(design))

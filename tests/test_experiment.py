@@ -7,6 +7,7 @@ import json
 import sys
 import tempfile
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,16 +16,32 @@ from hypothesis import strategies as st
 
 from hlsdse import agent, front
 from hlsdse.agent import (
+    Budget,
     ExternalPolicy,
     Failure,
     FailureReason,
     IlpFirstPolicy,
+    Inspect,
     OraclePolicy,
+    Policy,
+    Select,
+    Session,
+    SolveIlp,
     Success,
+    Synthesize,
     TrialAndErrorPolicy,
 )
 from hlsdse.bench import Benchmark, builtin, builtin_names
-from hlsdse.design import Configuration, Design, area_to_tenths, call
+from hlsdse.design import (
+    Configuration,
+    Design,
+    Kernel,
+    KernelSource,
+    KernelVariant,
+    area_to_tenths,
+    call,
+    par,
+)
 from hlsdse.errors import CyclicDesign, EmptyInput, FunctionalityBroken, ParseError
 from hlsdse.experiment import (
     ACTION_KINDS,
@@ -41,7 +58,8 @@ from hlsdse.experiment import (
     score,
     summary_rows,
 )
-from hlsdse.latency import EvalResult
+from hlsdse.ilp import ConstrainedArea, Lagrangian
+from hlsdse.latency import EvalResult, LatencyModelKind
 from hlsdse.variantgen import derive_area_target, optimize_bottom_up
 
 ORACLE = PolicySpec("oracle", OraclePolicy)
@@ -201,6 +219,30 @@ def test_the_default_batch_asks_each_distinct_solve_once(monkeypatch):
     assert len(records) == 240
     assert sum(r.actions_by_kind["solve_ilp"] for r in records) == 120
     assert calls == {"build_model": 12, "solve": 12, "best_within": 12}
+
+
+class _FloatIndexPolicy(Policy):
+    """Synthesizes every kernel at variant ``1.0``, which equals 1 but is no int."""
+
+    policy_id = "float-index"
+
+    def start(self, task) -> None:
+        self._kernels = sorted(task.design.kernels)
+
+    def next_action(self, transcript):
+        return Synthesize(Configuration.from_mapping({kid: 1.0 for kid in self._kernels}))
+
+
+def test_a_non_int_variant_index_fails_its_run_and_the_batch_goes_on():
+    spec = PolicySpec("float-index", _FloatIndexPolicy)
+    records = run_experiment([builtin("SYN1")], [spec, ORACLE], repetitions=2)
+    failed = [r for r in records if isinstance(r.outcome, Failure)]
+    assert [(r.policy, r.rep) for r in failed] == [("float-index", 0), ("float-index", 1)]
+    for record in failed:
+        assert record.outcome.reason is FailureReason.POLICY_ERROR
+        assert "is not an int" in record.outcome.detail
+        assert record.transcript.entries == ()
+    assert all(isinstance(r.outcome, Success) for r in records if r.policy == "oracle")
 
 
 def test_repetitions_must_be_positive():
@@ -481,6 +523,78 @@ def test_transcripts_jsonl_is_the_per_run_files_concatenated(tmp_path, fault_rat
         per_run_files.append(text)
     assert len(per_run_files) == sum(1 for r in records if r.transcript is not None)
     assert (tmp_path / "transcripts.jsonl").read_text() == "".join(per_run_files)
+
+
+SOURCE = KernelSource(0, 1, 1, 0, 0)
+
+# Kernel ids that COMPACT_JSON escapes, so their text is not the raw id.
+SPLICE_DESIGN_KERNELS = {
+    "top": Kernel(
+        "top", SOURCE, (KernelVariant(0, 1000, 10),), par(call("ké"), call("中"))
+    ),
+    "ké": Kernel("ké", SOURCE, (KernelVariant(0, 500, 20), KernelVariant(1, 800, 12))),
+    "中": Kernel("中", SOURCE, (KernelVariant(0, 600, 15), KernelVariant(1, 300, 25))),
+}
+
+
+def splice_actions():
+    kernels = SPLICE_DESIGN_KERNELS
+    choice = st.fixed_dictionaries(
+        {kid: st.integers(0, len(k.variants) - 1) for kid, k in kernels.items()}
+    ).map(Configuration.from_mapping)
+    target = st.sampled_from([1500, 2200, 3000])  # 1500 is under the least area
+    alpha = st.sampled_from([1, 0.1, Fraction(1, 10)])
+    objective = st.one_of(target.map(ConstrainedArea), st.builds(Lagrangian, target, alpha))
+    return st.one_of(
+        st.sampled_from(sorted(kernels)).map(Inspect),
+        st.builds(SolveIlp, objective, st.sampled_from(list(LatencyModelKind))),
+        choice.map(Synthesize),
+        choice.map(Select),
+    )
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.lists(splice_actions(), min_size=1, max_size=10))
+def test_entry_lines_are_spliced_from_the_kept_texts(actions):
+    design = Design(kernels=dict(SPLICE_DESIGN_KERNELS), top="top")
+    session = Session(design, area_target_tenths=2200, budget=Budget(max_actions=100))
+    for action in actions:
+        if session.terminated:
+            break
+        session.step(action)
+    encode = agent.COMPACT_JSON.encode
+    transcript = session.transcript()
+    expected, chars = [], 0
+    for entry in transcript.entries:
+        action = agent.action_to_payload(entry.action)
+        observation = agent.observation_to_payload(entry.observation)
+        assert (entry.action_json, entry.observation_json) == (
+            encode(action),
+            encode(observation),
+        )
+        size = len(encode({"action": action, "observation": observation}))
+        assert agent.entry_chars(entry.action, entry.observation) == size
+        chars += size
+        assert entry.cumulative_chars == chars
+        line = {"step": entry.step, "action": action, "observation": observation}
+        expected.append(encode({**line, "chars": chars}))
+    record = RunRecord(
+        benchmark="中",
+        policy="scripted",
+        rep=0,
+        seed=0,
+        outcome=session.outcome or Failure(FailureReason.POLICY_ERROR),
+        actions_by_kind={},
+        final_latency=None,
+        final_area_tenths=None,
+        area_target_tenths=2200,
+        met_target=False,
+        transcript=transcript,
+    )
+    with tempfile.TemporaryDirectory() as out:
+        report([record], score([record]), out)
+        lines = (Path(out) / "transcripts.jsonl").read_text(encoding="utf-8").splitlines()
+    assert lines[1:] == expected
 
 
 @functools.cache
