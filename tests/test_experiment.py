@@ -577,7 +577,7 @@ def test_entry_lines_are_spliced_from_the_kept_texts(actions):
         chars += size
         assert entry.cumulative_chars == chars
         line = {"step": entry.step, "action": action, "observation": observation}
-        expected.append(encode({**line, "chars": chars}))
+        expected.append(encode(dict(line, chars=chars)))
     record = RunRecord(
         benchmark="中",
         policy="scripted",
