@@ -213,10 +213,9 @@ Outcome = Union[Success, Failure]
 # Serialization (the transcript file and the external wire protocol share it)
 
 # Built once: ``json.dumps`` with any non-default option builds a new encoder
-# on every call. ``COMPACT_JSON`` writes transcripts, ``runs.jsonl`` and the
-# sizes the context cap counts; ``_WIRE_JSON`` writes the external protocol.
+# on every call. ``COMPACT_JSON`` writes transcripts, ``runs.jsonl``, the
+# external protocol and the sizes the context cap counts.
 COMPACT_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-_WIRE_JSON = json.JSONEncoder(sort_keys=True)
 
 
 def _alpha_to_json(alpha: Union[int, float, Fraction]) -> Union[int, float, str]:
@@ -445,19 +444,48 @@ def _question(action: SolveIlp) -> tuple:
     return (action.latency_model, "constrained", spec.area_target_tenths, None)
 
 
-def _answer(design: Design, action: SolveIlp) -> IlpSolution:
-    """The solver's answer to ``action``, computed once per design and
-    question (``_question``) and kept in ``design._answers``: the sessions
-    of a batch share one prepared design, so its reps ask the solver
-    nothing new. Raises ValueError for a question the solver rejects, which
-    is not kept.
+def _reply(design: Design, action: Action) -> tuple[Observation, str]:
+    """A validated action's observation and its ``COMPACT_JSON`` text, made
+    once per design and key and kept in ``design._replies``: the sessions of
+    a batch share one prepared design, so its reps ask the solver and the
+    evaluator nothing new.
+
+    The key is what the observation depends on, not the action: equal
+    actions may serialize differently (see ``_question``), so only the
+    observation's text is kept. Raises ValueError for a question the solver
+    rejects, which keeps nothing.
     """
-    key = _question(action)
-    solution = design._answers.get(key)
-    if solution is None:
-        model = build_model(design, action.objective, action.latency_model)
-        solution = design._answers[key] = solve(model)
-    return solution
+    if isinstance(action, Select):
+        return _ACK_REPLY
+    if isinstance(action, Inspect):
+        key: object = ("inspect", action.kernel)
+    elif isinstance(action, SolveIlp):
+        key = _question(action)
+    else:
+        key = action.choice
+    reply = design._replies.get(key)
+    if reply is None:
+        if isinstance(action, Inspect):
+            kernel: Kernel = design.kernels[action.kernel]
+            observation: Observation = KernelView(
+                kernel=kernel.id,
+                source=kernel.source,
+                body_summary=(
+                    node_summary(kernel.body) if kernel.body is not None else None
+                ),
+                children=direct_callees(kernel),
+                variants=kernel.variants,
+            )
+        elif isinstance(action, SolveIlp):
+            model = build_model(design, action.objective, action.latency_model)
+            observation = IlpOutcome(solution=solve(model), latency_model=action.latency_model)
+        else:
+            observation = SynthResult(evaluate(design, action.choice))
+        reply = design._replies[key] = (
+            observation,
+            COMPACT_JSON.encode(observation_to_payload(observation)),
+        )
+    return reply
 
 
 class Session:
@@ -466,11 +494,12 @@ class Session:
     The transcript is the whole state: every accepted action appends an
     entry, and termination is decided right after the append — Select wins
     immediately, then the character cap, then the action cap. Invalid actions
-    raise without being recorded. A ``SolveIlp`` is answered by ``_answer``.
+    raise without being recorded.
 
     An accepted action's observation and its text come from ``_reply``, once
-    per design and reply key, so the sessions of a batch share them. The
-    action's text is encoded on every step.
+    per design and reply key, so the sessions of a batch share them; a
+    ``Select``'s result is the ``SynthResult`` of its configuration, from the
+    same memo. The action's text is encoded on every step.
     """
 
     def __init__(
@@ -517,7 +546,10 @@ class Session:
         if self._outcome is not None:
             raise SessionTerminated()
         self._validate(action)
-        observation, observation_json = self._reply(action)
+        try:
+            observation, observation_json = _reply(self.design, action)
+        except ValueError as exc:
+            raise InvalidAction(str(exc)) from None
         action_json = COMPACT_JSON.encode(action_to_payload(action))
         self._chars += _entry_size(action_json, observation_json)
         self._entries.append(
@@ -531,7 +563,7 @@ class Session:
             )
         )
         if isinstance(action, Select):
-            result = evaluate(self.design, action.choice)
+            result = _reply(self.design, Synthesize(action.choice))[0].result
             self._outcome = Success(
                 configuration=action.choice,
                 result=result,
@@ -570,55 +602,6 @@ class Session:
                 raise InvalidAction(f"bad latency model {action.latency_model!r}")
         else:
             raise InvalidAction(f"unrecognized action {action!r}")
-
-    def _reply(self, action: Action) -> tuple[Observation, str]:
-        """A validated action's observation and its ``COMPACT_JSON`` text,
-        kept in ``design._replies`` under what the observation depends on.
-
-        Not under the action: equal actions may serialize differently (see
-        ``_question``), so only the observation's text is kept. A question
-        the solver rejects raises InvalidAction and keeps nothing.
-        """
-        if isinstance(action, Select):
-            return _ACK_REPLY
-        if isinstance(action, Inspect):
-            key: object = ("inspect", action.kernel)
-        elif isinstance(action, SolveIlp):
-            try:
-                key = _question(action)
-            except ValueError as exc:
-                raise InvalidAction(str(exc)) from None
-        else:
-            key = action.choice
-        reply = self.design._replies.get(key)
-        if reply is None:
-            observation = self._dispatch(action)
-            reply = self.design._replies[key] = (
-                observation,
-                COMPACT_JSON.encode(observation_to_payload(observation)),
-            )
-        return reply
-
-    def _dispatch(self, action: Action) -> Observation:
-        if isinstance(action, Inspect):
-            kernel: Kernel = self.design.kernels[action.kernel]
-            return KernelView(
-                kernel=kernel.id,
-                source=kernel.source,
-                body_summary=(
-                    node_summary(kernel.body) if kernel.body is not None else None
-                ),
-                children=direct_callees(kernel),
-                variants=kernel.variants,
-            )
-        if isinstance(action, SolveIlp):
-            try:
-                solution = _answer(self.design, action)
-            except ValueError as exc:
-                raise InvalidAction(str(exc)) from None
-            return IlpOutcome(solution=solution, latency_model=action.latency_model)
-        assert isinstance(action, Synthesize)
-        return SynthResult(evaluate(self.design, action.choice))
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +691,7 @@ def run(
 class OraclePolicy(Policy):
     """Selects ``brute_force_optimum``'s pick in one action: the best
     configuration within the target under the correct model, else the best
-    within the least total area, both asked of ``_answer``.
+    within the least total area, both read from ``_reply``'s solver answers.
 
     Raises CapExceeded before any solve when the shared kernels have more
     than ``ENUMERATION_CAP`` variant combinations.
@@ -726,10 +709,11 @@ class OraclePolicy(Policy):
         count = prod(len(design.kernels[kid].variants) for kid in _shared(design, correct))
         if count > ENUMERATION_CAP:
             raise CapExceeded(count, ENUMERATION_CAP)
-        solution = _answer(design, SolveIlp(ConstrainedArea(self._task.area_target_tenths)))
+        asked = SolveIlp(ConstrainedArea(self._task.area_target_tenths))
+        solution = _reply(design, asked)[0].solution
         if solution.status is SolveStatus.INFEASIBLE:
             least = sum(min(v.area_tenths for v in k.variants) for k in design.kernels.values())
-            solution = _answer(design, SolveIlp(ConstrainedArea(least)))
+            solution = _reply(design, SolveIlp(ConstrainedArea(least)))[0].solution
         return Select(solution.configuration)
 
 
@@ -888,8 +872,10 @@ class ExternalPolicy(Policy):
     "step": n, "payload": {...}}`` line per recorded observation (rejected
     actions get an ``{"error": ...}`` payload instead). Child to engine:
     ``{"type": "action", "action": {...}}`` lines, one JSON object per line;
-    anything else counts as an invalid action. Replies are read on the
-    calling thread through ``selectors``, so this needs a POSIX host.
+    anything else counts as an invalid action. Lines to the child are
+    ``COMPACT_JSON``, and an observation's payload is its entry's kept
+    ``observation_json``. Replies are read on the calling thread through
+    ``selectors``, so this needs a POSIX host.
     """
 
     def __init__(self, command: Sequence[str], timeout_s: float = 30.0) -> None:
@@ -918,31 +904,31 @@ class ExternalPolicy(Policy):
         except OSError as exc:
             raise InvalidAction(f"cannot start external policy: {exc}") from None
         self._send(
-            {
-                "type": "task",
-                "design_summary": design_summary(task.design, task.design_id),
-                "area_target": tenths_to_area(task.area_target_tenths),
-            }
+            COMPACT_JSON.encode(
+                {
+                    "type": "task",
+                    "design_summary": design_summary(task.design, task.design_id),
+                    "area_target": tenths_to_area(task.area_target_tenths),
+                }
+            )
         )
 
-    def _send(self, message: dict[str, object]) -> None:
+    def _send(self, line: str) -> None:
         assert self._proc is not None
         if self._proc.stdin is None or self._proc.poll() is not None:
             raise InvalidAction("external policy process is gone")
         try:
-            self._proc.stdin.write(_WIRE_JSON.encode(message).encode() + b"\n")
+            self._proc.stdin.write(line.encode() + b"\n")
             self._proc.stdin.flush()
         except (OSError, ValueError) as exc:
             raise InvalidAction(f"cannot write to external policy: {exc}") from None
 
     def next_action(self, transcript: Transcript) -> Action:
         for entry in transcript.entries[self._relayed :]:
+            # COMPACT_JSON of the line, spliced in sorted-key order.
             self._send(
-                {
-                    "type": "observation",
-                    "step": entry.step,
-                    "payload": observation_to_payload(entry.observation),
-                }
+                f'{{"payload":{entry.observation_json},"step":{entry.step},'
+                f'"type":"observation"}}'
             )
             self._relayed = entry.step + 1
         try:
@@ -988,11 +974,9 @@ class ExternalPolicy(Policy):
     def notify_invalid(self, message: str) -> None:
         try:
             self._send(
-                {
-                    "type": "observation",
-                    "step": self._relayed,
-                    "payload": {"error": message},
-                }
+                COMPACT_JSON.encode(
+                    {"type": "observation", "step": self._relayed, "payload": {"error": message}}
+                )
             )
         except InvalidAction:
             pass  # the child is already gone; let the strike counter finish it

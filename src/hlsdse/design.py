@@ -27,7 +27,6 @@ from .errors import CapExceeded, CyclicDesign, ParseError
 
 if TYPE_CHECKING:
     from .agent import Observation
-    from .ilp import IlpSolution
     from .latency import LatencyModelKind, LatencyPlan
 
 ENUMERATION_CAP = 10**6
@@ -196,18 +195,12 @@ class Design:
         return plan
 
     @cached_property
-    def _answers(self) -> dict[tuple, "IlpSolution"]:
-        """Solver answers computed once per design, never models or fronts:
-        ``agent._answer``'s ``IlpSolution``s, keyed by the normalised
-        question ``(model, mode, area target, alpha or None)``."""
-        return {}
-
-    @cached_property
     def _replies(self) -> dict[object, tuple["Observation", str]]:
-        """Session replies computed once per design: ``agent.Session._reply``'s
-        ``(observation, observation_json)`` pairs, keyed by what the
-        observation depends on — ``("inspect", kernel)``, ``_question(action)``
-        for a solve, or the synthesized ``Configuration``."""
+        """The one per-design memo of what sessions and the oracle are told:
+        ``agent._reply``'s ``(observation, observation_json)`` pairs, keyed
+        by what the observation depends on — ``("inspect", kernel)``,
+        ``_question(action)`` for a solve, or the synthesized (or selected)
+        ``Configuration``. It holds solver answers, never models or fronts."""
         return {}
 
     def with_variants(self, options: Mapping[str, tuple[KernelVariant, ...]]) -> "Design":

@@ -13,6 +13,7 @@ import random
 from dataclasses import replace
 from typing import Optional
 
+from hlsdse.agent import IlpOutcome
 from hlsdse.design import (
     Call,
     CompositionNode,
@@ -211,3 +212,14 @@ def reference_oracle(design: Design, area_target_tenths: int) -> tuple:
         default=None,
     )
     return best_feasible, min(rows, key=lambda row: (row[2], row[1], row[0]))
+
+
+def kept_answers(design: Design) -> dict:
+    """The solver answers kept on ``design``: each ``IlpOutcome`` reply's
+    solution in ``Design._replies``, under its question key, in the order
+    they were kept."""
+    return {
+        key: observation.solution
+        for key, (observation, _) in design._replies.items()
+        if isinstance(observation, IlpOutcome)
+    }

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_design
+from helpers import kept_answers, random_design
 from hlsdse import agent
 from hlsdse.agent import (
     MAX_ACTION_LINE_BYTES,
@@ -57,7 +57,7 @@ from hlsdse.design import (
 )
 from hlsdse.errors import InvalidAction, SessionTerminated
 from hlsdse.ilp import ConstrainedArea, Lagrangian, build_model, solve
-from hlsdse.latency import LatencyModelKind, brute_force_optimum
+from hlsdse.latency import LatencyModelKind, brute_force_optimum, evaluate
 from hlsdse.variantgen import (
     derive_area_target,
     greedy_configuration,
@@ -213,7 +213,7 @@ def test_a_lagrangian_alpha_of_another_type_is_an_invalid_action(alpha):
     with pytest.raises(InvalidAction, match="alpha must be an int, float or Fraction"):
         session.step(SolveIlp(Lagrangian(1000, alpha)))
     assert session.transcript().entries == ()
-    assert design._answers == {}
+    assert kept_answers(design) == {}
 
 
 @pytest.mark.parametrize("index", [1.0, True])
@@ -252,7 +252,7 @@ def test_equal_objectives_with_different_alphas_get_their_own_answers():
     for action, outcome in zip(actions, outcomes):
         assert outcome.solution == fresh_solution(parallel_pair_design(), action)
     assert outcomes[0].solution.objective != outcomes[1].solution.objective
-    assert len(design._answers) == 2
+    assert len(kept_answers(design)) == 2
 
 
 def test_alphas_of_one_value_share_one_answer():
@@ -263,7 +263,7 @@ def test_alphas_of_one_value_share_one_answer():
     ]
     assert outcomes[1].solution is outcomes[0].solution
     assert outcomes[2].solution is outcomes[0].solution
-    assert len(design._answers) == 1
+    assert len(kept_answers(design)) == 1
 
 
 def test_a_rejected_solve_is_asked_again_and_never_kept():
@@ -273,11 +273,11 @@ def test_a_rejected_solve_is_asked_again_and_never_kept():
     with pytest.raises(InvalidAction, match="alpha must be positive"):
         session.step(bad)
     session.step(SolveIlp(ConstrainedArea(2200)))
-    kept = dict(design._answers)
+    kept = kept_answers(design)
     for _ in range(2):
         with pytest.raises(InvalidAction, match="alpha must be positive"):
             session.step(bad)
-    assert design._answers == kept and len(kept) == 1
+    assert kept_answers(design) == kept and len(kept) == 1
     assert len(session.transcript().entries) == 1
 
 
@@ -291,7 +291,7 @@ def test_a_kernel_without_variants_is_rejected_on_every_ask(objective):
     for _ in range(2):
         with pytest.raises(InvalidAction):
             session.step(SolveIlp(objective))
-    assert design._answers == {}
+    assert kept_answers(design) == {}
 
 
 @settings(max_examples=50, deadline=None, database=None)
@@ -316,15 +316,15 @@ def test_a_kept_answer_is_the_fresh_answer(seed, second_caller, alpha):
             fresh = IlpOutcome(fresh_solution(copy, action), kind)
             assert second == fresh
             assert entry_chars(action, second) == entry_chars(action, fresh)
-    assert copy._answers == {}
+    assert kept_answers(copy) == {}
 
 
 def test_the_oracle_and_ilp_first_share_one_answer(monkeypatch):
     result = optimize_bottom_up(builtin("SYN1").skeleton)
     design, target = result.design, derive_area_target(result.baseline.area_tenths)
     run(OraclePolicy(), design, area_target_tenths=target)
-    assert list(design._answers) == [(LatencyModelKind.CORRECT, "constrained", target, None)]
-    kept = dict(design._answers)
+    assert list(kept_answers(design)) == [(LatencyModelKind.CORRECT, "constrained", target, None)]
+    kept = kept_answers(design)
 
     def no_solve(model):
         raise AssertionError("ilp-first solved a question the oracle had asked")
@@ -333,7 +333,7 @@ def test_the_oracle_and_ilp_first_share_one_answer(monkeypatch):
     outcome, transcript = run(IlpFirstPolicy(), design, area_target_tenths=target)
     assert kinds(transcript) == ["synthesize", "solve_ilp", "select"]
     assert outcome.configuration == kept[next(iter(kept))].configuration
-    assert design._answers == kept
+    assert kept_answers(design) == kept
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +393,30 @@ def test_a_rejected_action_keeps_no_reply():
             session.step(action)
     assert design._replies == kept
     assert all(design._replies[key] is reply for key, reply in kept.items())
+
+
+def test_a_select_takes_its_result_from_the_synthesize_reply(monkeypatch):
+    design = parallel_pair_design()
+    synthesized = all_zero(design)
+    selected = Configuration.from_mapping({"top": 0, "A": 1, "B": 0})
+
+    def no_evaluate(*args):
+        raise AssertionError("a Select evaluated a configuration the design had a reply for")
+
+    first = Session(design, area_target_tenths=2200)
+    first.step(Synthesize(synthesized))
+    monkeypatch.setattr(agent, "evaluate", no_evaluate)
+    first.step(Select(synthesized))
+    assert first.outcome.result is design._replies[synthesized][0].result
+    assert first.outcome.result == evaluate(design, synthesized)
+    monkeypatch.undo()
+    second = Session(design, area_target_tenths=2200)
+    second.step(Select(selected))  # never synthesized: evaluated once, and kept
+    monkeypatch.setattr(agent, "evaluate", no_evaluate)
+    third = Session(design, area_target_tenths=2200)
+    third.step(Select(selected))
+    assert third.outcome.result is second.outcome.result
+    assert second.outcome.result == evaluate(design, selected)
 
 
 def test_transcript_accumulates_serialized_sizes():
@@ -853,12 +877,24 @@ RAW_LOGGING_CHILD = """
 """
 
 
-def test_relayed_lines_are_sorted_key_json(tmp_path):
+def test_relayed_lines_are_sorted_key_json(tmp_path, monkeypatch):
+    payloads = []
+
+    def counted(observation, _real=agent.observation_to_payload):
+        payloads.append(observation)
+        return _real(observation)
+
+    monkeypatch.setattr(agent, "observation_to_payload", counted)
     log_path = tmp_path / "wire.bin"
     command = write_child(tmp_path, "raw.py", RAW_LOGGING_CHILD) + [str(log_path)]
     design = parallel_pair_design()
     outcome, transcript = run_external(ExternalPolicy(command), design, 2200)
+    monkeypatch.undo()
     assert isinstance(outcome, Success)
+    relayed = transcript.entries[:-1]  # the Select's Ack ends the run unrelayed
+    # One payload per distinct reply, none for relaying: 3 inspects, the solve
+    # and the selected configuration's SynthResult.
+    assert len(payloads) == len(design._replies) == 5
     messages = [
         {
             "type": "task",
@@ -867,10 +903,15 @@ def test_relayed_lines_are_sorted_key_json(tmp_path):
         }
     ] + [
         {"type": "observation", "step": e.step, "payload": observation_to_payload(e.observation)}
-        for e in transcript.entries[:-1]  # the Select's Ack ends the run unrelayed
+        for e in relayed
     ]
-    expected = [(json.dumps(m, sort_keys=True) + "\n").encode() for m in messages]
-    assert log_path.read_bytes().splitlines(keepends=True) == expected
+    expected = [
+        (json.dumps(m, sort_keys=True, separators=(",", ":")) + "\n").encode() for m in messages
+    ]
+    lines = log_path.read_bytes().splitlines(keepends=True)
+    assert lines == expected
+    for line, entry in zip(lines[1:], relayed):
+        assert entry.observation_json.encode() in line
 
 
 BAD_CHILD = """

@@ -204,12 +204,16 @@ def test_non_finite_external_area_target_becomes_a_failure_record(tmp_path):
 
 
 def test_the_default_batch_asks_each_distinct_solve_once(monkeypatch):
-    # 240 runs share 8 prepared designs and one answer memo: 120 solve_ilp
+    # 240 runs share 8 prepared designs and one reply memo: 120 solve_ilp
     # steps ask 10 distinct questions. The oracle asks the same question as
     # ilp-first on each design, plus the least-area one on SYN2 and SYN4,
-    # where the target is infeasible: 12 in all, one best_within each.
-    calls = {"build_model": 0, "solve": 0, "best_within": 0}
-    for module, name in ((agent, "build_model"), (agent, "solve"), (front, "best_within")):
+    # where the target is infeasible: 12 in all, one best_within each. Each
+    # distinct synthesized or selected configuration is evaluated once.
+    calls = {"build_model": 0, "solve": 0, "best_within": 0, "evaluate": 0}
+    counted_names = (
+        (agent, "build_model"), (agent, "solve"), (front, "best_within"), (agent, "evaluate")
+    )
+    for module, name in counted_names:
         def counted(*args, _name=name, _real=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
@@ -218,7 +222,7 @@ def test_the_default_batch_asks_each_distinct_solve_once(monkeypatch):
     records = run_experiment([builtin(n) for n in builtin_names()], [ORACLE, ILP, TRIAL])
     assert len(records) == 240
     assert sum(r.actions_by_kind["solve_ilp"] for r in records) == 120
-    assert calls == {"build_model": 12, "solve": 12, "best_within": 12}
+    assert calls == {"build_model": 12, "solve": 12, "best_within": 12, "evaluate": 42}
 
 
 class _FloatIndexPolicy(Policy):

@@ -1,7 +1,7 @@
 """Front-search oracle tests: equal to enumeration, configurations included.
 
-The oracle policy asks the front search through the session's answer memo
-(``agent._answer``); its pick must be ``brute_force_optimum``'s.
+The oracle policy asks the front search through the design's reply memo
+(``agent._reply``); its pick must be ``brute_force_optimum``'s.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import coarsened, random_design
+from helpers import coarsened, kept_answers, random_design
 from hlsdse import agent
-from hlsdse.agent import OraclePolicy, Success, run
+from hlsdse.agent import IlpFirstPolicy, OraclePolicy, Success, TrialAndErrorPolicy, run
 from hlsdse.bench import builtin, builtin_names
 from hlsdse.design import (
     ENUMERATION_CAP,
@@ -96,17 +96,6 @@ def test_front_oracle_matches_enumeration_on_every_builtin(name):
         assert oracle_pick(design, target) == enumeration_pick(design, target)
 
 
-@pytest.mark.parametrize("name", builtin_names())
-def test_oracle_policy_selects_the_enumeration_optimum_on_every_builtin(name):
-    task = optimize_bottom_up(builtin(name).skeleton)
-    target = derive_area_target(task.baseline.area_tenths)
-    outcome, _ = run(OraclePolicy(), task.design, area_target_tenths=target)
-    report = brute_force_optimum(task.design, target)
-    pick = report.best_feasible or report.min_area
-    assert isinstance(outcome, Success)
-    assert (outcome.configuration, outcome.result) == pick
-
-
 @settings(max_examples=200, deadline=None, database=None)
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
@@ -168,22 +157,31 @@ def test_oracle_answers_are_kept_per_design_and_target():
     _, mid, hi = targets(design)
     key = {t: (CORRECT, "constrained", t, None) for t in (mid, hi)}
     oracle_pick(design, mid)
-    kept = design._answers[key[mid]]
+    kept = kept_answers(design)[key[mid]]
     oracle_pick(design, mid)
     oracle_pick(design, hi)
-    assert list(design._answers) == [key[mid], key[hi]]
-    assert design._answers[key[mid]] is kept
-    assert kept != design._answers[key[hi]]
+    assert list(kept_answers(design)) == [key[mid], key[hi]]
+    assert kept_answers(design)[key[mid]] is kept
+    assert kept != kept_answers(design)[key[hi]]
     other = optimize_bottom_up(skeleton).design
     oracle_pick(other, mid)
-    assert other._answers[key[mid]] == kept
-    assert other._answers[key[mid]] is not kept
+    assert kept_answers(other)[key[mid]] == kept
+    assert kept_answers(other)[key[mid]] is not kept
 
 
 def test_a_solve_caches_nothing_on_the_design_but_its_plan():
     design = optimize_bottom_up(builtin("SYN3").skeleton).design
     solve(build_model(design, ConstrainedArea(targets(design)[1])))
     assert set(vars(design)) == {"kernels", "top", "order", "_plans"}
+
+
+def test_policies_keep_nothing_on_the_design_but_its_plans_and_replies():
+    task = optimize_bottom_up(builtin("SYN3").skeleton)
+    design, target = task.design, derive_area_target(task.baseline.area_tenths)
+    for policy in (OraclePolicy(), IlpFirstPolicy(), TrialAndErrorPolicy()):
+        run(policy, design, area_target_tenths=target)
+    assert kept_answers(design)
+    assert set(vars(design)) <= {"kernels", "top", "order", "_plans", "_replies"}
 
 
 def test_trees_no_longer_hit_the_enumeration_cap():
@@ -218,7 +216,7 @@ def test_shared_branches_over_the_cap_raise_before_any_work(monkeypatch):
     monkeypatch.setattr(agent, "build_model", no_work)
     with pytest.raises(CapExceeded):
         oracle_pick(design, 1000)
-    assert design._answers == {}
+    assert kept_answers(design) == {}
 
 
 def test_shared_ties_end_the_search_at_one_branch():
@@ -243,7 +241,7 @@ def test_front_requires_variants():
     design = Design(kernels={"top": Kernel("top", SOURCE, ())}, top="top")
     with pytest.raises(ValueError, match="no variants"):
         oracle_pick(design, 100)
-    assert design._answers == {}
+    assert kept_answers(design) == {}
 
 
 def test_random_design_draws_are_unchanged_without_second_callers():
