@@ -34,6 +34,7 @@ from .design import (
     call,
     design_from_dict,
     design_to_dict,
+    dumps_design,
     loop,
     par,
     seq,
@@ -315,6 +316,9 @@ def load(path: str | Path) -> Benchmark:
 
 
 def save(benchmark: Benchmark, path: str | Path) -> None:
+    """Write ``benchmark_to_dict(benchmark)`` as ``dumps_design`` lays out JSON."""
     Path(path).write_text(
-        json.dumps(benchmark_to_dict(benchmark), indent=2, sort_keys=True) + "\n"
+        dumps_design(
+            benchmark.skeleton, latency_formula=benchmark.latency_formula, name=benchmark.name
+        )
     )

@@ -506,15 +506,33 @@ def enumerate_configurations(
 #   source = {"trip_count", "body_latency", "op_count", "base_area", "op_area"}
 # Areas appear in units with at most one decimal place.
 
-def _require_keys(obj: Any, required: set[str], optional: set[str], where: str) -> None:
+# Each parser raises ParseError located relative to the value it was given
+# (``where`` None: the value itself), and each caller prefixes the path to
+# that value on the way out (``ParseError.within``), so a valid document
+# builds no location string.
+
+# Each object's required keys; ``_FIELDS`` adds the optional ones.
+_DESIGN_KEYS = frozenset({"top", "kernels"})
+_KERNEL_KEYS = frozenset({"id", "source", "variants"})
+_KERNEL_FIELDS = _KERNEL_KEYS | {"body"}
+_SOURCE_KEYS = frozenset({"trip_count", "body_latency", "op_count", "base_area", "op_area"})
+_VARIANT_KEYS = frozenset({"area", "latency", "pragma"})
+_PRAGMA_KEYS = frozenset({"unroll", "ii"})
+_CALL_KEYS = frozenset({"kernel"})
+_CALL_FIELDS = _CALL_KEYS | {"multiplicity"}
+_LOOP_KEYS = frozenset({"trip_count", "child"})
+
+
+def _require_keys(obj: Any, required: frozenset[str], allowed: frozenset[str]) -> None:
+    """``obj`` is an object holding every ``required`` field and only ``allowed`` ones."""
     if not isinstance(obj, dict):
-        raise ParseError(f"expected an object, got {type(obj).__name__}", where)
-    unknown = set(obj) - required - optional
+        raise ParseError(f"expected an object, got {type(obj).__name__}")
+    if required <= obj.keys() <= allowed:
+        return
+    unknown = set(obj) - allowed
     if unknown:
-        raise ParseError(f"unknown field(s) {sorted(unknown)}", where)
-    missing = required - set(obj)
-    if missing:
-        raise ParseError(f"missing field(s) {sorted(missing)}", where)
+        raise ParseError(f"unknown field(s) {sorted(unknown)}")
+    raise ParseError(f"missing field(s) {sorted(required - set(obj))}")
 
 
 def _parse_int(value: Any, where: str, minimum: int | None = None) -> int:
@@ -536,30 +554,36 @@ def _parse_area(value: Any, where: str) -> int:
         raise ParseError(str(exc), where) from None
 
 
-def _node_from_dict(data: Any, where: str, depth: int = 1) -> CompositionNode:
+def _node_from_dict(data: Any, depth: int = 1) -> CompositionNode:
     if depth > MAX_BODY_DEPTH:
-        raise ParseError(f"body nested deeper than {MAX_BODY_DEPTH} levels", where)
+        raise ParseError(f"body nested deeper than {MAX_BODY_DEPTH} levels")
     if not isinstance(data, dict) or len(data) != 1:
-        raise ParseError("node must be an object with exactly one key", where)
+        raise ParseError("node must be an object with exactly one key")
     (tag, payload), = data.items()
     if tag == "call":
-        _require_keys(payload, {"kernel"}, {"multiplicity"}, where)
+        _require_keys(payload, _CALL_KEYS, _CALL_FIELDS)
         if not isinstance(payload["kernel"], str):
-            raise ParseError("kernel id must be a string", where)
-        mult = _parse_int(payload.get("multiplicity", 1), f"{where}.multiplicity")
+            raise ParseError("kernel id must be a string")
+        mult = _parse_int(payload.get("multiplicity", 1), ".multiplicity")
         return Call(sys.intern(payload["kernel"]), mult)
     if tag in ("seq", "par"):
         if not isinstance(payload, list):
-            raise ParseError(f"{tag} payload must be a list", where)
-        children = tuple(
-            _node_from_dict(item, f"{where}/{i}", depth + 1) for i, item in enumerate(payload)
-        )
-        return Seq(children) if tag == "seq" else Par(children)
+            raise ParseError(f"{tag} payload must be a list")
+        children = []
+        for i, item in enumerate(payload):
+            try:
+                children.append(_node_from_dict(item, depth + 1))
+            except ParseError as exc:
+                raise exc.within(f"/{i}") from None
+        return Seq(tuple(children)) if tag == "seq" else Par(tuple(children))
     if tag == "loop":
-        _require_keys(payload, {"trip_count", "child"}, set(), where)
-        trip = _parse_int(payload["trip_count"], f"{where}.trip_count")
-        return Loop(trip, _node_from_dict(payload["child"], f"{where}/child", depth + 1))
-    raise ParseError(f"unknown node kind {tag!r}", where)
+        _require_keys(payload, _LOOP_KEYS, _LOOP_KEYS)
+        trip = _parse_int(payload["trip_count"], ".trip_count")
+        try:
+            return Loop(trip, _node_from_dict(payload["child"], depth + 1))
+        except ParseError as exc:
+            raise exc.within("/child") from None
+    raise ParseError(f"unknown node kind {tag!r}")
 
 
 def _node_to_dict(node: CompositionNode, path: None, values: list) -> dict[str, Any]:
@@ -570,70 +594,81 @@ def _node_to_dict(node: CompositionNode, path: None, values: list) -> dict[str, 
     return {"seq" if isinstance(node, Seq) else "par": values}
 
 
-def _pragma_from_dict(data: Any, where: str) -> PragmaConfig:
-    _require_keys(data, {"unroll", "ii"}, set(), where)
-    unroll = _parse_int(data["unroll"], f"{where}.unroll", minimum=1)
+def _pragma_from_dict(data: Any) -> PragmaConfig:
+    _require_keys(data, _PRAGMA_KEYS, _PRAGMA_KEYS)
+    unroll = _parse_int(data["unroll"], ".unroll", minimum=1)
     ii = data["ii"]
     if ii is not None:
-        ii = _parse_int(ii, f"{where}.ii", minimum=1)
+        ii = _parse_int(ii, ".ii", minimum=1)
     if unroll == 1 and ii is None:
         return DEFAULT_PRAGMA
     return PragmaConfig(unroll=unroll, ii=ii)
 
 
-def _source_from_dict(data: Any, where: str) -> KernelSource:
-    _require_keys(
-        data, {"trip_count", "body_latency", "op_count", "base_area", "op_area"}, set(), where
-    )
+def _source_from_dict(data: Any) -> KernelSource:
+    _require_keys(data, _SOURCE_KEYS, _SOURCE_KEYS)
     return KernelSource(
-        trip_count=_parse_int(data["trip_count"], f"{where}.trip_count", minimum=0),
-        body_latency=_parse_int(data["body_latency"], f"{where}.body_latency", minimum=0),
-        op_count=_parse_int(data["op_count"], f"{where}.op_count", minimum=1),
-        base_area_tenths=_parse_area(data["base_area"], f"{where}.base_area"),
-        op_area_tenths=_parse_area(data["op_area"], f"{where}.op_area"),
+        trip_count=_parse_int(data["trip_count"], ".trip_count", minimum=0),
+        body_latency=_parse_int(data["body_latency"], ".body_latency", minimum=0),
+        op_count=_parse_int(data["op_count"], ".op_count", minimum=1),
+        base_area_tenths=_parse_area(data["base_area"], ".base_area"),
+        op_area_tenths=_parse_area(data["op_area"], ".op_area"),
     )
 
 
-def _kernel_from_dict(data: Any, where: str) -> Kernel:
-    _require_keys(data, {"id", "source", "variants"}, {"body"}, where)
+def _variant_from_dict(index: int, data: Any) -> KernelVariant:
+    _require_keys(data, _VARIANT_KEYS, _VARIANT_KEYS)
+    area_tenths = _parse_area(data["area"], ".area")
+    latency = _parse_int(data["latency"], ".latency", minimum=0)
+    try:
+        pragma = _pragma_from_dict(data["pragma"])
+    except ParseError as exc:
+        raise exc.within(".pragma") from None
+    return KernelVariant(index, area_tenths, latency, pragma)
+
+
+def _kernel_from_dict(data: Any) -> Kernel:
+    _require_keys(data, _KERNEL_KEYS, _KERNEL_FIELDS)
     kid = data["id"]
     if not isinstance(kid, str) or not kid:
-        raise ParseError("kernel id must be a non-empty string", where)
+        raise ParseError("kernel id must be a non-empty string")
     kid = sys.intern(kid)  # ids recur in calls and in every design parsed: one string each
     if not isinstance(data["variants"], list):
-        raise ParseError("variants must be a list", f"{where}.variants")
+        raise ParseError("variants must be a list", ".variants")
     variants = []
     for i, item in enumerate(data["variants"]):
-        vwhere = f"{where}.variants[{i}]"
-        _require_keys(item, {"area", "latency", "pragma"}, set(), vwhere)
-        variants.append(
-            KernelVariant(
-                index=i,
-                area_tenths=_parse_area(item["area"], f"{vwhere}.area"),
-                latency=_parse_int(item["latency"], f"{vwhere}.latency", minimum=0),
-                pragma=_pragma_from_dict(item["pragma"], f"{vwhere}.pragma"),
-            )
-        )
+        try:
+            variants.append(_variant_from_dict(i, item))
+        except ParseError as exc:
+            raise exc.within(f".variants[{i}]") from None
     body = data.get("body")
-    node = None if body is None else _node_from_dict(body, f"{where}:{kid}/body")
-    return Kernel(
-        id=kid,
-        source=_source_from_dict(data["source"], f"{where}.source"),
-        variants=tuple(variants),
-        body=node,
-    )
+    try:
+        node = None if body is None else _node_from_dict(body)
+    except ParseError as exc:
+        raise exc.within(f":{kid}/body") from None
+    try:
+        source = _source_from_dict(data["source"])
+    except ParseError as exc:
+        raise exc.within(".source") from None
+    return Kernel(id=kid, source=source, variants=tuple(variants), body=node)
 
 
 def design_from_dict(data: Any, where: str = "design") -> Design:
     """Build a Design from parsed JSON; strict about field names and types."""
-    _require_keys(data, {"top", "kernels"}, set(), where)
+    try:
+        _require_keys(data, _DESIGN_KEYS, _DESIGN_KEYS)
+    except ParseError as exc:
+        raise exc.within(where) from None
     if not isinstance(data["top"], str):
         raise ParseError("top must be a string", where)
     if not isinstance(data["kernels"], list):
         raise ParseError("kernels must be a list", where)
     kernels: dict[str, Kernel] = {}
     for i, item in enumerate(data["kernels"]):
-        kernel = _kernel_from_dict(item, f"{where}.kernels[{i}]")
+        try:
+            kernel = _kernel_from_dict(item)
+        except ParseError as exc:
+            raise exc.within(f"{where}.kernels[{i}]") from None
         if kernel.id in kernels:
             raise ParseError(f"duplicate kernel id {kernel.id!r}", where)
         kernels[kernel.id] = kernel
@@ -677,11 +712,55 @@ def loads_design(text: str) -> Design:
     return design_from_dict(data)
 
 
-def dumps_design(design: Design) -> str:
-    try:
-        return json.dumps(design_to_dict(design), indent=2, sort_keys=True) + "\n"
-    except RecursionError:  # the encoder's, on a body no file may hold (MAX_BODY_DEPTH)
-        raise ParseError("design nested too deeply") from None
+_str = json.encoder.encode_basestring_ascii
+
+
+def _list(items: list[str], indent: str) -> str:
+    """A JSON list of written items, each on its own lines, closed at ``indent``."""
+    return "[\n" + ",\n".join(items) + f"\n{indent}]" if items else "[]"
+
+
+def dumps_design(design: Design, /, **fields: str) -> str:
+    """``json.dumps(design_to_dict(design) | fields, indent=2, sort_keys=True)``
+    plus a newline, byte for byte; ``fields`` are extra string fields, such as
+    a benchmark's ``name``.
+
+    With ``indent``, ``json`` drops its C encoder for a pure-Python one, so
+    only the bodies, whose shape varies, go through it. The fixed shape
+    around them is spelled out here, strings and numbers written as ``json``
+    writes them.
+    """
+    kernels = []
+    for kid, kernel in design.kernels.items():
+        source = kernel.source
+        variants = [
+            f'        {{\n          "area": {v.area!r},\n          "latency": {v.latency!r},\n'
+            f'          "pragma": {{\n'
+            f'            "ii": {"null" if v.pragma.ii is None else repr(v.pragma.ii)},\n'
+            f'            "unroll": {v.pragma.unroll!r}\n          }}\n        }}'
+            for v in kernel.variants
+        ]
+        body = ""
+        if kernel.body is not None:
+            tree = fold_body(kernel.body, None, _node_to_dict)
+            try:
+                body = json.dumps(tree, indent=2, sort_keys=True).replace("\n", "\n      ")
+            except RecursionError:  # the encoder's, on a body no file may hold (MAX_BODY_DEPTH)
+                raise ParseError("design nested too deeply") from None
+            body = f'      "body": {body},\n'
+        kernels.append(
+            f'    {{\n{body}      "id": {_str(kid)},\n      "source": {{\n'
+            f'        "base_area": {tenths_to_area(source.base_area_tenths)!r},\n'
+            f'        "body_latency": {source.body_latency!r},\n'
+            f'        "op_area": {tenths_to_area(source.op_area_tenths)!r},\n'
+            f'        "op_count": {source.op_count!r},\n'
+            f'        "trip_count": {source.trip_count!r}\n      }},\n'
+            f'      "variants": {_list(variants, "      ")}\n    }}'
+        )
+    fields = {key: _str(value) for key, value in fields.items()}
+    fields["kernels"] = _list(kernels, "  ")
+    fields["top"] = _str(design.top)
+    return "{\n" + ",\n".join(f"  {_str(key)}: {fields[key]}" for key in sorted(fields)) + "\n}\n"
 
 
 def _summary(node: CompositionNode, path: None, values: Sequence[str]) -> str:

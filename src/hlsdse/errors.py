@@ -11,8 +11,13 @@ class ParseError(HlsDseError):
     """A design or benchmark file is malformed (bad JSON, unknown or missing fields)."""
 
     def __init__(self, message: str, where: str | None = None) -> None:
+        self.message = message
         self.where = where
         super().__init__(message if where is None else f"{where}: {message}")
+
+    def within(self, prefix: str) -> "ParseError":
+        """The same error, its location ``prefix`` followed by ``where``."""
+        return ParseError(self.message, prefix + (self.where or ""))
 
 
 class ValidationError(HlsDseError):

@@ -3,7 +3,8 @@
 Every case runs in-process. A ``run:`` case digests every file an
 ``hlsdse run`` batch writes into its ``--out`` directory; a ``solve:`` case
 digests the stdout of ``hlsdse solve`` on each builtin under one latency
-model and objective. The digests live in ``golden.json`` next to this file.
+model and objective; ``export:builtins`` digests the benchmark files that
+``hlsdse bench export --out`` writes for the builtins. The digests live in ``golden.json`` next to this file.
 
 A change that moves any of these bytes on purpose re-records the digests with
 
@@ -110,12 +111,14 @@ def _solve_digest(flags: list[str]) -> str:
 def compute(case: str) -> str:
     if case == "run:external":
         return _external_digest()
+    if case == "export:builtins":
+        return _in_scratch(lambda out: _cli(["bench", "export", "--out", str(out)]))
     if case in RUN_FLAGS:
         return _run_digest(RUN_FLAGS[case])
     return _solve_digest(SOLVE_FLAGS[case])
 
 
-CASES = [*RUN_FLAGS, "run:external", *SOLVE_FLAGS]
+CASES = [*RUN_FLAGS, "run:external", *SOLVE_FLAGS, "export:builtins"]
 
 
 def test_every_case_has_a_recorded_digest():
